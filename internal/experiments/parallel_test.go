@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -104,6 +108,37 @@ func withShardParallel(t *testing.T, n int, f func()) {
 	f()
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/golden.sum from this run's output")
+
+// goldenPath holds the SHA-256 of each export of TestParallelDeterminism's
+// sequential render: the committed reference every engine change must
+// reproduce byte for byte.
+const goldenPath = "testdata/golden.sum"
+
+// checkGolden compares the digests of outputs (name, content pairs) with
+// goldenPath, or rewrites the file under -update.
+func checkGolden(t *testing.T, outputs [][2]string) {
+	t.Helper()
+	var b strings.Builder
+	for _, o := range outputs {
+		fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256([]byte(o[1])), o[0])
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output digests differ from %s (review the change, then rerun with -update):\n--- want ---\n%s--- got ---\n%s", goldenPath, want, got)
+	}
+}
+
 // TestParallelDeterminism is the tentpole's correctness gate: fan-out must
 // not perturb results. Every trial owns its platform (one engine, one RNG,
 // one virtual clock), so the rendered table must be byte-identical between
@@ -162,6 +197,7 @@ func TestParallelDeterminism(t *testing.T) {
 		return b.String(), tr.String(), mt.String(), au.String()
 	}
 	seqTab, seqTrace, seqMetrics, seqAudit := render(1, true, 0)
+	checkGolden(t, [][2]string{{"tables", seqTab}, {"trace", seqTrace}, {"metrics", seqMetrics}, {"audit", seqAudit}})
 	parTab, parTrace, parMetrics, parAudit := render(8, true, 0)
 	coldTab, coldTrace, coldMetrics, coldAudit := render(8, false, 0)
 	if seqTab != parTab {
