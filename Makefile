@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck noise stash slo sched bench bench-hot bench-wheel bench-stash bench-sched bench-shard bench-suite bench-telemetry bench-audit bench-slo bench-diff bench-accept audit profile profile-cpu cover ci
+.PHONY: all build test race vet staticcheck noise stash slo sched bench bench-hot bench-wheel bench-stash bench-sched bench-suite bench-telemetry bench-audit bench-slo bench-diff bench-accept audit profile profile-cpu cover ci
 
 # Pinned staticcheck release; CI installs exactly this version so lint
 # results are reproducible.
@@ -18,8 +18,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Race gate for the worker-pool trial runner, the sharded-lane harvest
-# pool, and the single-threaded engine invariant beneath both.
+# Race gate for the worker-pool trial runner and the single-threaded
+# engine invariant beneath it.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
 
@@ -92,16 +92,11 @@ bench-stash:
 # SMP scheduler scale benchmarks: a 100k-process contended trial
 # (procs/s) and the steady-state dispatch round, which must report 0
 # allocs/op (the AllocsPerRun guard in internal/sim fails `make test`
-# otherwise).
+# otherwise), then one 10⁶-process contended trial (a single iteration:
+# the trial is seconds long).
 bench-sched:
 	$(GO) test ./internal/sim -run NONE \
 		-bench 'BenchmarkSched100kProcs|BenchmarkSchedDispatch' -benchmem
-
-# Sharded-lane scale benchmark: one contended 10⁶-process trial on the
-# serial engine and on sharded event lanes at 2 and 4 harvest workers.
-# One iteration per variant — each trial is seconds long, and the
-# interesting number is the serial-vs-sharded procs/s ratio.
-bench-shard:
 	$(GO) test ./internal/sim -run NONE -bench BenchmarkSched1MProcs \
 		-benchtime 1x -timeout 30m -benchmem
 
@@ -168,4 +163,4 @@ bench-accept: build
 cover:
 	$(GO) test -cover ./...
 
-ci: build vet staticcheck test race bench-hot bench-wheel bench-stash bench-slo bench-sched bench-shard bench-diff
+ci: build vet staticcheck test race bench-hot bench-wheel bench-stash bench-slo bench-sched bench-diff

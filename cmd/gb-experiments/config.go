@@ -27,7 +27,6 @@ type config struct {
 	memProfile  string
 	workloads   []string
 	cpus        []int
-	shard       int
 	runners     []experiments.Runner
 }
 
@@ -44,7 +43,7 @@ func (c *config) telemetryOn() bool {
 func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("gb-experiments", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // errors are returned; -h prints below
-	scaleName := fs.String("scale", "full", "experiment scale: full (paper-size), quick, or mega (full plus 200k-process swarms in noise trials)")
+	scaleName := fs.String("scale", "full", "experiment scale: full (paper-size) or quick")
 	markdown := fs.Bool("markdown", false, "emit GitHub-flavored markdown instead of aligned text")
 	list := fs.Bool("list", false, "print the registered experiment ids and exit")
 	outPath := fs.String("o", "", "write output to file (default stdout)")
@@ -59,7 +58,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	memProfile := fs.String("memprofile", "", "write a heap allocation pprof profile taken at exit to file")
 	workloadList := fs.String("workload", "", "comma-separated background generators for the noise experiment (default scan,zipf,hog,web)")
 	cpusList := fs.String("cpus", "", "comma-separated simulated-processor counts swept by the noise and slo experiments (0 = uncontended infinite-core model, the default)")
-	shard := fs.Int("shard-parallel", 0, "engine harvest workers for sharded event lanes (0 = serial engine, the bit-exact anchor; output is byte-identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			fs.SetOutput(stderr)
@@ -87,18 +85,9 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		c.scale = experiments.FullScale()
 	case "quick":
 		c.scale = experiments.QuickScale()
-	case "mega":
-		c.scale = experiments.MegaScale()
 	default:
-		return nil, fmt.Errorf("unknown scale %q (want full, quick, or mega)", *scaleName)
+		return nil, fmt.Errorf("unknown scale %q (want full or quick)", *scaleName)
 	}
-	if *shard < 0 {
-		return nil, fmt.Errorf("-shard-parallel %d is negative", *shard)
-	}
-	if err := experiments.SetShardParallel(*shard); err != nil {
-		return nil, err
-	}
-	c.shard = *shard
 	if c.parallel < 0 {
 		return nil, fmt.Errorf("-parallel %d is negative", c.parallel)
 	}

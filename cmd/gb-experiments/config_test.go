@@ -120,33 +120,6 @@ func TestParseConfigCPUs(t *testing.T) {
 	}
 }
 
-func TestParseConfigShardParallel(t *testing.T) {
-	defer experiments.SetShardParallel(0)
-	c, err := parseConfig([]string{"-shard-parallel", "4"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.shard != 4 {
-		t.Errorf("shard = %d, want 4", c.shard)
-	}
-	if got := experiments.ShardParallel(); got != 4 {
-		t.Errorf("selection not applied to experiments package: %d", got)
-	}
-}
-
-func TestParseConfigMegaScale(t *testing.T) {
-	c, err := parseConfig([]string{"-scale", "mega"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.scale.Name != "mega" || c.scale.SwarmProcs == 0 {
-		t.Errorf("scale = %+v, want mega with a non-zero swarm", c.scale)
-	}
-	if c.scale.MemoryMB != experiments.FullScale().MemoryMB {
-		t.Errorf("mega MemoryMB = %d, want the full-scale machine", c.scale.MemoryMB)
-	}
-}
-
 // TestListFlag: -list prints every registered experiment id and exits
 // successfully without running anything.
 func TestListFlag(t *testing.T) {
@@ -195,8 +168,8 @@ func TestParseConfigErrors(t *testing.T) {
 		{"bad workload", []string{"-workload", "scan,bitcoin"}, `unknown workload "bitcoin"`},
 		{"non-numeric cpus", []string{"-cpus", "0,many"}, "invalid"},
 		{"negative cpus", []string{"-cpus", "-1"}, "negative"},
-		{"negative shard-parallel", []string{"-shard-parallel", "-2"}, "negative"},
-		{"non-numeric shard-parallel", []string{"-shard-parallel", "many"}, "invalid"},
+		{"shard-parallel flag removed", []string{"-shard-parallel", "2"}, "not defined"},
+		{"mega scale removed", []string{"-scale", "mega"}, `unknown scale "mega"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	gb-experiments [-scale full|quick|mega] [-parallel N] [-snapshot=bool]
-//	               [-shard-parallel N] [-markdown] [-list] [-o file]
-//	               [-bench-out file] [-trace file] [-metrics file]
-//	               [-audit file] [-profile file] [-cpuprofile file]
-//	               [-memprofile file] [-workload list] [id ...]
+//	gb-experiments [-scale full|quick] [-parallel N] [-snapshot=bool]
+//	               [-markdown] [-list] [-o file] [-bench-out file]
+//	               [-trace file] [-metrics file] [-audit file]
+//	               [-profile file] [-cpuprofile file] [-memprofile file]
+//	               [-workload list] [id ...]
 //
 // With no ids, all experiments run in paper order. Available ids:
 // table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 mac-accuracy
@@ -26,14 +26,6 @@
 // path (output is byte-identical either way). -bench-out records
 // per-experiment wall-clock and simulated-time totals as JSON so the
 // suite's performance is comparable across revisions.
-//
-// -shard-parallel N builds every simulated machine on the engine's
-// sharded event lanes with an N-wide harvest worker pool — intra-trial
-// parallelism for mega-scale event populations. 0 (the default) is the
-// serial single-lane engine; output is byte-identical at any value, so
-// the flag only changes wall-clock time. -scale mega runs the full-size
-// machine with a 200k-process swarm in every noise trial, the workload
-// the lanes are built for.
 //
 // -trace and -metrics enable the telemetry subsystem on every platform
 // the experiments build: -trace writes a Chrome trace_event JSON file

@@ -69,6 +69,5 @@ func buildSystemCPUs(p simos.Personality, sc Scale, seed uint64, cpus int) *simo
 		CacheFloorMB:  floor,
 		NetBSDCacheMB: netbsdCache,
 		CPUs:          cpus,
-		ShardWorkers:  shardWorkers,
 	})
 }

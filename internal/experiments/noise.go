@@ -121,42 +121,6 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// swarmWave bounds the live swarm population so goroutine stacks stay
-// bounded even at 10⁵–10⁶ total processes per trial.
-const swarmWave = 4096
-
-// startSwarm launches total short-lived computing processes in bounded
-// waves and returns the driver process, which exits once the last wave
-// completes. Each process is pure scheduler load — a staggered start and
-// a small CPU burst — sized so a mega trial stresses the engine's event
-// population (and, when sharded, its lane harvests) without touching the
-// caches the ICL is probing. The driver polls for wave completion with
-// sleeps; everything is scheduled through the engine, so the swarm is as
-// deterministic as any other trial workload.
-func startSwarm(s *simos.System, total int) *sim.Proc {
-	e := s.Engine
-	return e.Go("swarm", func(p *sim.Proc) {
-		done := 0
-		for launched := 0; launched < total; {
-			n := swarmWave
-			if total-launched < n {
-				n = total - launched
-			}
-			for j := launched; j < launched+n; j++ {
-				j := j
-				e.Spawn(fmt.Sprintf("swarm.%d", j), sim.Time(j%977)*sim.Microsecond, func(q *sim.Proc) {
-					q.Compute(sim.Time(20+j%180) * sim.Microsecond)
-					done++
-				})
-			}
-			launched += n
-			for done < launched {
-				p.Sleep(500 * sim.Microsecond)
-			}
-		}
-	})
-}
-
 // Noise measures how each ICL's oracle-scored quality decays as
 // competing traffic ramps up. Per intensity, one platform runs the mix
 // while an ICL process repeatedly drives FCCD cache-content probing,
@@ -219,13 +183,6 @@ func Noise(cfg NoiseConfig) *Table {
 			_, err := mix.Start(s)
 			mustNoErr(err)
 
-			// Mega-scale process load: a swarm of short-lived computing
-			// processes runs alongside the mix for the whole trial.
-			var swarm *sim.Proc
-			if sc.SwarmProcs > 0 {
-				swarm = startSwarm(s, sc.SwarmProcs)
-			}
-
 			// The ICL starts after the mix has had 50ms to establish cache
 			// and memory pressure (a no-op at intensity 0).
 			p := s.Spawn("icl", 50*sim.Millisecond, func(os *simos.OS) {
@@ -261,10 +218,6 @@ func Noise(cfg NoiseConfig) *Table {
 			})
 			s.Engine.WaitAll(p)
 			mustNoErr(p.Err())
-			if swarm != nil {
-				s.Engine.WaitAll(swarm)
-				mustNoErr(swarm.Err())
-			}
 			mix.Stop()
 			mix.Drain(s)
 

@@ -36,7 +36,6 @@ func newMultiDiskSystem(p simos.Personality, sc Scale, seed uint64, disks int) *
 		KernelMB:     kernel,
 		CacheFloorMB: floor,
 		NumDisks:     disks,
-		ShardWorkers: shardWorkers,
 	}))
 }
 

@@ -100,12 +100,6 @@ type Scale struct {
 	Trials int
 	// Name labels the scale in output.
 	Name string
-	// SwarmProcs, when > 0, adds a swarm of that many short-lived
-	// computing processes to every noise trial — the mega-scale
-	// scheduler load (ROADMAP item 1) that the sharded event lanes
-	// exist to carry. 0 (every default scale) adds nothing, so output
-	// is unchanged unless a swarm scale is selected.
-	SwarmProcs int
 }
 
 // FullScale reproduces the paper's 896 MB machine. Points use fewer
@@ -116,12 +110,6 @@ func FullScale() Scale { return Scale{MemoryMB: 896, Trials: 5, Name: "full"} }
 // QuickScale is a 64 MB machine for tests and benchmarks; every workload
 // dimension shrinks by the same ~14x factor so shapes are preserved.
 func QuickScale() Scale { return Scale{MemoryMB: 64, Trials: 3, Name: "quick"} }
-
-// MegaScale is the full-size machine under mega-scale process load: every
-// noise trial additionally runs 200k short-lived computing processes
-// (10⁵ per trial, 10⁶ across a sweep), the population the sharded event
-// lanes are built for. Two repetitions keep a sweep affordable.
-func MegaScale() Scale { return Scale{MemoryMB: 896, Trials: 2, Name: "mega", SwarmProcs: 200_000} }
 
 // factor returns the ratio of this scale to the paper's machine, used to
 // shrink file sizes proportionally.

@@ -60,7 +60,6 @@ func buildStashSystem(sc Scale, seed uint64) *simos.System {
 		KernelMB:     kernel,
 		CacheFloorMB: floor,
 		TierDisk:     &fast,
-		ShardWorkers: shardWorkers,
 	})
 }
 

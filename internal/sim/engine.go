@@ -10,7 +10,7 @@ import (
 // scheduling order (seq), which keeps the simulation deterministic.
 //
 // Events are pooled: once fired or drained as a tombstone the struct goes
-// onto its lane's free list and is reused by a later Schedule. gen is
+// onto the queue's free list and is reused by a later Schedule. gen is
 // bumped at recycle time so stale Event handles can never touch the new
 // occupant.
 type event struct {
@@ -29,10 +29,8 @@ type event struct {
 	// fn events.
 	kind uint8
 	// loc records which structure holds the event, so Cancel maintains
-	// the right tombstone counter; ln is the owning lane (always 0 on the
-	// serial engine).
+	// the right tombstone counter.
 	loc uint8
-	ln  uint8
 }
 
 // Proc-event kinds.
@@ -43,11 +41,8 @@ const (
 
 // Event locations (event.loc).
 const (
-	locHeap    uint8 = iota // in its lane's heap
-	locWheel                // chained in its lane's timing wheel
-	locOverlay              // in the shard overlay heap (shard.go)
-	locRun                  // in its lane's harvested-run buffer (shard.go)
-	locDefer                // in its lane's deferred-push buffer (shard.go)
+	locHeap  uint8 = iota // in the heap
+	locWheel              // chained in the timing wheel
 )
 
 // dead reports whether the slot is a tombstone (canceled or recycled).
@@ -66,10 +61,7 @@ type Event struct {
 // The engine is strictly single-threaded from the caller's perspective:
 // although processes are goroutines, exactly one of them (or the engine
 // loop itself) runs at any instant, with explicit handoff. This makes every
-// run with the same seed bit-for-bit reproducible. SetShardParallel adds
-// worker goroutines, but only for lane-structure maintenance between
-// horizons — event execution stays serial in global (at, seq) order, so
-// the reproducibility guarantee is unchanged at any worker count.
+// run with the same seed bit-for-bit reproducible.
 type Engine struct {
 	now  Time
 	seq  uint64
@@ -77,36 +69,22 @@ type Engine struct {
 	seed uint64
 
 	// live is the number of scheduled events that have been neither fired
-	// nor canceled, across every lane, the shard overlay, and the
-	// run/defer buffers.
+	// nor canceled.
 	live int
 
-	// lanes holds the pending-event shards (wheel.go). The serial engine
-	// — and every event the serial engine ever sees — uses lanes[0];
-	// SetShardParallel grows the slice to one lane per simulated CPU plus
-	// the global lane 0 for closure events.
-	lanes []lane
+	// q holds the pending events: a timing wheel in front of a heap
+	// (wheel.go).
+	q lane
 
-	// wheelMin is defaultWheelMin; tests/benchmarks override. Shared by
-	// every lane's place.
+	// wheelMin is defaultWheelMin; tests/benchmarks override.
 	wheelMin int
-
-	// shard is the lane-merge state (shard.go); nil selects the serial
-	// single-lane engine, the bit-exact compatibility anchor.
-	shard *shardState
 
 	// yield carries control back from a running process to the engine
 	// loop. All processes share it; only the currently-running process
 	// ever sends on it.
 	yield chan struct{}
 
-	// procs is a slot arena: a finished process's slot is pushed onto
-	// freeSlot and reused by a later Spawn, so long-running simulations
-	// that churn short-lived processes (request-per-process servers) hold
-	// live processes only, not every process that ever ran.
-	procs    []*Proc
-	freeSlot []int32
-	spawned  uint64 // total Spawn calls, ever (arena slots recycle; this doesn't)
+	spawned  uint64 // total Spawn calls, ever
 	nBlocked int    // processes in procBlocked, maintained by setState
 
 	// sched is the SMP scheduler; nil (the default) is the uncontended
@@ -126,7 +104,6 @@ func NewEngine(seed uint64) *Engine {
 		seed:     seed,
 		yield:    make(chan struct{}),
 		wheelMin: defaultWheelMin,
-		lanes:    make([]lane, 1),
 	}
 }
 
@@ -135,9 +112,9 @@ func (e *Engine) Seed() uint64 { return e.seed }
 
 // Checkpoint returns the clock and scheduling cursor of a quiescent
 // engine, for snapshot machinery. It panics if events are still pending,
-// processes are still blocked, or — on a sharded engine — any lane-local
-// buffer still holds events: snapshotting mid-flight (or mid-horizon)
-// state is not supported and would fork divergent copies.
+// processes are still blocked, or the scheduler still holds processes:
+// snapshotting mid-flight state is not supported and would fork divergent
+// copies.
 func (e *Engine) Checkpoint() (now Time, seq uint64) {
 	if e.live != 0 {
 		panic(fmt.Sprintf("sim: Checkpoint with %d pending event(s)", e.live))
@@ -147,32 +124,6 @@ func (e *Engine) Checkpoint() (now Time, seq uint64) {
 	}
 	if n := e.schedBusy(); n != 0 {
 		panic(fmt.Sprintf("sim: Checkpoint with %d process(es) on CPU or run queue", n))
-	}
-	// With live == 0 every lane buffer must already be empty of live
-	// events; a live entry here means a snapshot was attempted mid-horizon
-	// with corrupted accounting, and forking it would diverge. Fail loudly
-	// instead.
-	if e.shard != nil {
-		for i := range e.lanes {
-			ln := &e.lanes[i]
-			n := 0
-			for _, ev := range ln.run[ln.runPos:] {
-				if ev != nil && !ev.dead() {
-					n++
-				}
-			}
-			for _, ev := range ln.deferred {
-				if !ev.dead() {
-					n++
-				}
-			}
-			if n != 0 {
-				panic(fmt.Sprintf("sim: Checkpoint with %d live event(s) in lane %d buffers (mid-horizon snapshot)", n, i))
-			}
-		}
-		if n := e.shard.ovLive; n != 0 {
-			panic(fmt.Sprintf("sim: Checkpoint with %d live event(s) in the shard overlay (mid-horizon snapshot)", n))
-		}
 	}
 	return e.now, e.seq
 }
@@ -191,8 +142,7 @@ func (e *Engine) Restore(now Time, seq uint64) {
 func (e *Engine) Now() Time { return e.now }
 
 // SetTelemetry attaches a telemetry registry: processes spawned from now
-// on get span tracks, and tracers attached to the engine export their
-// events. A nil registry (the default) disables telemetry.
+// on get span tracks. A nil registry (the default) disables telemetry.
 func (e *Engine) SetTelemetry(r *telemetry.Registry) {
 	e.tel = r
 	e.instrumentSched()
@@ -218,54 +168,25 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: schedule of nil callback")
 	}
-	ev := e.push(at, 0) // closure events ride the global lane
+	ev := e.push(at)
 	ev.fn = fn
 	return Event{ev: ev, gen: ev.gen}
 }
 
 // scheduleWake schedules p.wake() at time at without allocating a closure.
 func (e *Engine) scheduleWake(at Time, p *Proc) {
-	e.push(at, e.procLane(p)).proc = p
+	e.push(at).proc = p
 }
 
-// procLane routes a process's wake events: every proc event for the same
-// arena slot lands in the same lane, a static assignment that depends
-// only on simulation state — never on worker count — so sharded output
-// is invariant. Lane 0 is reserved for closure events.
-func (e *Engine) procLane(p *Proc) int {
-	if e.shard == nil {
-		return 0
-	}
-	return 1 + int(p.slot)%(len(e.lanes)-1)
-}
-
-// push takes an event struct off lane li's free list (or allocates one)
-// and stamps it with the next sequence number. On the serial engine it
-// goes straight into the lane's wheel or heap; on a sharded engine an
-// in-window event (at < horizon) joins the overlay heap so the current
-// merge sees it, and an out-of-window event is deferred for the next
-// harvest. The caller sets fn or proc.
-func (e *Engine) push(at Time, li int) *event {
-	ln := &e.lanes[li]
-	ev := ln.take()
+// push takes an event struct off the free list (or allocates one), stamps
+// it with the next sequence number, and queues it. The caller sets fn or
+// proc.
+func (e *Engine) push(at Time) *event {
+	ev := e.q.take()
 	ev.at, ev.seq = at, e.seq
-	ev.ln = uint8(li)
 	e.seq++
 	e.live++
-	if s := e.shard; s != nil {
-		if at >= s.horizon {
-			ev.loc = locDefer
-			ln.deferred = append(ln.deferred, ev)
-		} else {
-			ev.loc = locOverlay
-			s.ovLive++
-			s.overlay = append(s.overlay, ev)
-			s.overlay.siftUp(len(s.overlay) - 1)
-		}
-		return ev
-	}
-	ln.live++
-	ln.place(e, ev)
+	e.q.place(e, ev)
 	return ev
 }
 
@@ -289,72 +210,39 @@ func (e *Engine) Cancel(h Event) {
 	}
 	ev.fn, ev.proc = nil, nil
 	e.live--
-	ln := &e.lanes[ev.ln]
-	// If churny callers (timeouts that almost always cancel) fill a heap
-	// or a wheel with tombstones, compact rather than let them pile up
+	q := &e.q
+	// If churny callers (timeouts that almost always cancel) fill the heap
+	// or the wheel with tombstones, compact rather than let them pile up
 	// unboundedly.
-	switch ev.loc {
-	case locWheel:
-		ln.live--
-		ln.wheelLive--
-		ln.wheelDead++
-		if ln.wheelLive == 0 || (ln.wheelDead > 64 && ln.wheelDead > ln.wheelLive) {
-			ln.sweepWheel()
+	if ev.loc == locWheel {
+		q.wheelLive--
+		q.wheelDead++
+		if q.wheelLive == 0 || (q.wheelDead > 64 && q.wheelDead > q.wheelLive) {
+			q.sweepWheel()
 		}
-	case locHeap:
-		ln.live--
-		heapLive := ln.live - ln.wheelLive
-		if dead := len(ln.events) - heapLive; dead > 64 && dead > heapLive {
-			ln.compact()
-		}
-	case locOverlay:
-		s := e.shard
-		s.ovLive--
-		if dead := len(s.overlay) - s.ovLive; dead > 64 && dead > s.ovLive {
-			s.compactOverlay(e)
-		}
-	default:
-		// locRun/locDefer tombstones are dropped when the merge cursor or
-		// the next harvest reaches them.
-	}
-}
-
-// peekLive returns the earliest pending live event without consuming it,
-// or nil if none remain: the lane heap top on the serial engine, the
-// loser-tree/overlay winner on a sharded one.
-func (e *Engine) peekLive() *event {
-	if e.shard != nil {
-		return e.mergePeek()
-	}
-	return e.lanes[0].peekLive()
-}
-
-// popNext consumes ev, which must be the event peekLive just returned.
-func (e *Engine) popNext(ev *event) {
-	if e.shard != nil {
-		e.shard.pop(e, ev)
 		return
 	}
-	ln := &e.lanes[0]
-	ln.popMin()
-	ln.live--
+	heapLive := e.live - q.wheelLive
+	if dead := len(q.events) - heapLive; dead > 64 && dead > heapLive {
+		q.compact()
+	}
 }
 
 // step fires the earliest pending live event. It reports false when no
 // live events remain.
 func (e *Engine) step() bool {
-	ev := e.peekLive()
+	ev := e.q.peekLive()
 	if ev == nil {
 		return false
 	}
-	e.popNext(ev)
+	e.q.popMin()
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
 	e.live--
 	fn, p, kind := ev.fn, ev.proc, ev.kind
-	e.lanes[ev.ln].recycle(ev)
+	e.q.recycle(ev)
 	switch {
 	case p == nil:
 		fn()
@@ -381,7 +269,7 @@ func (e *Engine) Run() {
 // the clock to exactly deadline. Blocked processes are left parked.
 func (e *Engine) RunUntil(deadline Time) {
 	for {
-		ev := e.peekLive()
+		ev := e.q.peekLive()
 		if ev == nil || ev.at > deadline {
 			break
 		}
@@ -393,8 +281,7 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // liveBlocked counts processes that are parked and not finished. It is
-// O(1): setState maintains the count, so deadlock detection no longer
-// scans the (recycled, possibly sparse) proc arena.
+// O(1): setState maintains the count.
 func (e *Engine) liveBlocked() int { return e.nBlocked }
 
 // Idle reports whether no live events are pending.

@@ -61,7 +61,6 @@ type Proc struct {
 	e     *Engine
 	name  string
 	state procState
-	slot  int32 // index in the engine's proc arena; -1 after exit
 
 	// Scheduler state (sched.go); idle/unused under the default
 	// infinite-core model.
@@ -97,21 +96,9 @@ func (p *Proc) setState(s procState) {
 
 // Spawn creates a process named name whose body is fn and schedules it to
 // start at delay from now. The body runs entirely on virtual time.
-//
-// The process occupies an arena slot for its lifetime; the slot (not the
-// Proc, which callers may still hold) is recycled when the body returns,
-// so arena growth tracks peak live processes, not total ever spawned.
 func (e *Engine) Spawn(name string, delay Time, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, state: procNew, cpu: -1, resume: make(chan struct{})}
 	p.track = e.tel.NewTrack(name) // nil track when telemetry is off
-	if n := len(e.freeSlot); n > 0 {
-		p.slot = e.freeSlot[n-1]
-		e.freeSlot = e.freeSlot[:n-1]
-		e.procs[p.slot] = p
-	} else {
-		p.slot = int32(len(e.procs))
-		e.procs = append(e.procs, p)
-	}
 	e.spawned++
 	e.After(delay, func() {
 		p.setState(procRunnable)
@@ -130,14 +117,11 @@ func (e *Engine) Spawn(name string, delay Time, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// exit finishes the process: the arena slot is released for reuse and
-// control returns to the engine loop. Runs on the process goroutine,
-// which at this point is the only one executing.
+// exit finishes the process and returns control to the engine loop.
+// Runs on the process goroutine, which at this point is the only one
+// executing.
 func (p *Proc) exit() {
 	p.setState(procDone)
-	p.e.procs[p.slot] = nil
-	p.e.freeSlot = append(p.e.freeSlot, p.slot)
-	p.slot = -1
 	p.e.yield <- struct{}{}
 }
 

@@ -191,19 +191,13 @@ func (s *scheduler) dispatch(e *Engine, c *schedCPU) {
 
 // armSlice schedules p's next timeslice expiry: the remaining burst,
 // capped at the quantum. Slice events come from the event pool (kind
-// evSlice), so re-arming allocates nothing. On a sharded engine the
-// slice rides the owning CPU's lane — a static, simulation-state-only
-// routing, like procLane.
+// evSlice), so re-arming allocates nothing.
 func (e *Engine) armSlice(p *Proc) {
 	run := p.left
 	if q := e.sched.quantum; run > q {
 		run = q
 	}
-	li := 0
-	if e.shard != nil {
-		li = 1 + int(p.cpu)%(len(e.lanes)-1)
-	}
-	ev := e.push(e.now+run, li)
+	ev := e.push(e.now + run)
 	ev.proc = p
 	ev.kind = evSlice
 }

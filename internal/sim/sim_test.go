@@ -139,7 +139,7 @@ func TestCancelChurnCompacts(t *testing.T) {
 		ev := e.Schedule(Time(1000+i), func() { t.Error("canceled event fired") })
 		e.Cancel(ev)
 	}
-	if n := len(e.lanes[0].events); n > 256 {
+	if n := len(e.q.events); n > 256 {
 		t.Errorf("heap holds %d slots after churn, want compacted (<= 256)", n)
 	}
 	done := false

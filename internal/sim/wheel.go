@@ -1,12 +1,8 @@
 package sim
 
-// Timing-wheel and heap machinery, extracted from engine.go so the
-// sharded-lane engine (shard.go) can reuse it: a lane is one pending-event
-// shard — its own two-level timing wheel in front of its own binary
-// min-heap, with the exact insert/advance/sweep behavior the single-lane
-// engine has always had. The serial engine is simply lane 0 of a
-// one-lane slice, so the -shard-parallel 0 anchor runs this code
-// unchanged.
+// The engine's pending-event queue: a two-level timing wheel in front of
+// a binary min-heap. Events fire in strict (at, seq) order whichever
+// structure holds them.
 
 // Timing-wheel geometry (DESIGN.md §14). A tick is 2^wheelShift
 // nanoseconds (~4.1 µs); level 0 resolves one tick per slot, level 1 one
@@ -69,46 +65,27 @@ func (h eventHeap) siftDown(i int) {
 	}
 }
 
-// lane is one pending-event shard: a heap, the two-level wheel in front
-// of it, a private free list, and (in shard mode) the harvested-run and
-// deferred-push buffers the conservative-lookahead protocol fills. All
-// lane state is owned by exactly one goroutine at a time — the engine
-// thread between horizons, one harvest worker during a harvest — so none
-// of it needs locks.
+// lane is the engine's pending-event queue: a heap, the two-level wheel
+// in front of it, and the recycled-event free list. The heap holds
+// len(events) - (Engine.live - wheelLive) tombstones.
 type lane struct {
 	events eventHeap
-	free   *event // per-lane recycled-event free list
-
-	// live is the number of live events resident in this lane's heap and
-	// wheel (run/defer/overlay residents are counted only in Engine.live).
-	// The heap holds len(events) - (live - wheelLive) tombstones.
-	live int
+	free   *event // recycled-event free list
 
 	// Hierarchical timing wheel. Slots hold unordered singly-linked
 	// chains (through event.next); every chained event has tick >=
 	// wheelTick, and firing always goes through the heap (drained in
-	// peekLive or a harvest), so wheel placement never affects (at, seq)
-	// order.
+	// peekLive), so wheel placement never affects (at, seq) order.
 	l0, l1    [wheelSlots]*event
 	wheelTick int64 // current L0 position, in ticks
 	wheelLive int   // live events chained in the wheel
 	wheelDead int   // canceled events still chained in the wheel
 	l0Count   int   // chained events (live + dead) per level, for
 	l1Count   int   // empty-stretch skipping and refill short-circuits
-
-	// Shard-mode buffers (empty on the serial engine). run holds the
-	// lane's harvested events — every live event with at < the engine
-	// horizon, in (at, seq) order — consumed through runPos by the
-	// loser-tree merge. deferred holds events pushed at or beyond the
-	// horizon since the last harvest, unordered; the next harvest folds
-	// them into the wheel/heap.
-	run      []*event
-	runPos   int
-	deferred []*event
 }
 
 // recycle bumps the event's generation (invalidating outstanding handles)
-// and puts it on this lane's free list.
+// and puts it on the free list.
 func (ln *lane) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.proc, ev.kind = nil, nil, evWake
@@ -140,10 +117,10 @@ func (ln *lane) heapInsert(ev *event) {
 // past-tick events go to the heap (they may be due before the wheel next
 // advances); so do events beyond the wheel horizon, and everything while
 // the live population is too small for the wheel to pay for itself. The
-// caller has already counted ev in ln.live.
+// caller has already counted ev in e.live.
 func (ln *lane) place(e *Engine, ev *event) {
 	if ln.wheelLive == 0 {
-		if ln.live <= e.wheelMin {
+		if e.live <= e.wheelMin {
 			ln.heapInsert(ev)
 			return
 		}
@@ -312,7 +289,7 @@ func (ln *lane) popMin() *event {
 // live event overall (always at the top of the heap), or nil if none
 // remain. After it returns an event h, every wheel event has
 // tick >= wheelTick > tick(h.at) and therefore fires strictly after h,
-// so the heap's (at, seq) order is this lane's firing order.
+// so the heap's (at, seq) order is the firing order.
 func (ln *lane) peekLive() *event {
 	for {
 		var h *event

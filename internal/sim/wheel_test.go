@@ -123,7 +123,7 @@ func TestWheelCancelSweep(t *testing.T) {
 	for i := range evs {
 		e.Cancel(evs[i])
 	}
-	if n := e.lanes[0].wheelDead; n != 0 {
+	if n := e.q.wheelDead; n != 0 {
 		t.Fatalf("wheelDead = %d after canceling every wheel event; sweep did not run", n)
 	}
 	if !e.Idle() {

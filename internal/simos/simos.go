@@ -70,13 +70,6 @@ type Config struct {
 	// (default sim.DefaultQuantum, 10ms).
 	CPUQuantum sim.Time
 
-	// ShardWorkers selects the engine's sharded event lanes with a
-	// harvest pool of that many workers (sim.SetShardParallel). 0 (the
-	// default) keeps the serial single-lane engine — the bit-exact
-	// anchor; any value >= 1 produces byte-identical output, only
-	// faster on multi-core hosts at large event populations.
-	ShardWorkers int
-
 	// NetBSDCacheMB overrides the fixed cache size for NetBSD15
 	// (default 64).
 	NetBSDCacheMB int
@@ -162,9 +155,6 @@ func New(cfg Config) *System {
 	e := sim.NewEngine(cfg.Seed)
 	if cfg.CPUs > 0 {
 		e.SetCPUs(cfg.CPUs, cfg.CPUQuantum)
-	}
-	if cfg.ShardWorkers > 0 {
-		e.SetShardParallel(cfg.ShardWorkers)
 	}
 	pageSize := cfg.Disk.BlockSize
 	frames := cfg.MemoryMB * MB / pageSize

@@ -7,7 +7,7 @@ import (
 )
 
 // TestEmptyRegistryExports exercises every exporter on a registry with
-// no metrics, spans, or rings: all outputs must stay valid (and the
+// no metrics or spans: all outputs must stay valid (and the
 // metrics JSON must omit the empty sections entirely).
 func TestEmptyRegistryExports(t *testing.T) {
 	clk := &fakeClock{}

@@ -15,8 +15,8 @@ import (
 //   - Chrome trace_event JSON ("JSON Array Format" with metadata events),
 //     loadable in about://tracing and https://ui.perfetto.dev. Each
 //     registry becomes one trace "process" (pid), each Track one thread
-//     (tid); spans are complete "X" events and ring events are instant
-//     "i" events.
+//     (tid); spans are complete "X" events and Track.Instant markers are
+//     instant "i" events.
 //   - A metrics snapshot, as canonical JSON or aligned text.
 //
 // Both formats are rendered with deterministic ordering and number
@@ -262,15 +262,6 @@ func WriteChromeTrace(w io.Writer, regs []*Registry) error {
 			}
 			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"cat":%s,"name":%s%s}`,
 				pid, s.tid, microTS(s.start), microTS(s.dur), jsonString(s.cat), jsonString(s.name), reqArgs))
-		}
-		for ri, ring := range r.rings {
-			tid := 1000 + ri // ring tracks sit after process tracks
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"trace log %d"}}`,
-				pid, tid, ri))
-			ring.Do(func(ev Event) {
-				emit(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","cat":%s,"name":%s}`,
-					pid, tid, microTS(ev.At), jsonString(ev.Cat), jsonString(ev.Msg)))
-			})
 		}
 	}
 	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")

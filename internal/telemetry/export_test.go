@@ -20,9 +20,6 @@ func buildRegistry(label string) *Registry {
 	clk.now = 2_750
 	tr.End()
 	tr.Instant("probe", "hit")
-	ring := NewRing(8)
-	ring.Append(Event{At: 3000, Cat: "io", Msg: "drained"})
-	r.AddRing(ring)
 	return r
 }
 
@@ -70,15 +67,15 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	if !sawSpan || !sawProcName {
 		t.Errorf("missing span or process metadata in phases %v", phases)
 	}
-	// Both the Track.Instant and the ring event export as instants.
+	// The Track.Instant marker exports as an instant.
 	instants := 0
 	for _, ph := range phases {
 		if ph == "i" {
 			instants++
 		}
 	}
-	if instants != 2 {
-		t.Errorf("instant events = %d, want 2", instants)
+	if instants != 1 {
+		t.Errorf("instant events = %d, want 1", instants)
 	}
 }
 

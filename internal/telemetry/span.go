@@ -133,74 +133,3 @@ func (r *Registry) SpanDrops() int64 {
 	}
 	return r.dropped
 }
-
-// Event is one instant event in a Ring: a timestamped message in a
-// category (the sim.Tracer record).
-type Event struct {
-	At       int64
-	Cat, Msg string
-}
-
-// Ring is a bounded buffer of instant events that drops the oldest once
-// full — a proper circular buffer: append is O(1) at any size, with a
-// head index and wraparound instead of shifting the backing array.
-// Limit 0 means unbounded. A Ring works standalone (no registry); attach
-// it to a registry with AddRing to include its events in trace export.
-type Ring struct {
-	limit  int
-	events []Event
-	head   int // index of the oldest event once the buffer is full
-	drops  int64
-}
-
-// NewRing creates a ring keeping at most limit events (0 = unbounded).
-func NewRing(limit int) *Ring {
-	if limit < 0 {
-		limit = 0
-	}
-	return &Ring{limit: limit}
-}
-
-// AddRing registers a ring's events for trace export. No-op on nil
-// registry.
-func (r *Registry) AddRing(ring *Ring) {
-	if r == nil || ring == nil {
-		return
-	}
-	r.rings = append(r.rings, ring)
-}
-
-// Append records an event, dropping the oldest when at the limit.
-func (rg *Ring) Append(ev Event) {
-	if rg.limit > 0 && len(rg.events) >= rg.limit {
-		rg.events[rg.head] = ev
-		rg.head = (rg.head + 1) % rg.limit
-		rg.drops++
-		return
-	}
-	rg.events = append(rg.events, ev)
-}
-
-// Len returns the number of retained events.
-func (rg *Ring) Len() int { return len(rg.events) }
-
-// Dropped returns how many events were discarded to honor the limit.
-func (rg *Ring) Dropped() int64 { return rg.drops }
-
-// Events returns a copy of the retained events, oldest first.
-func (rg *Ring) Events() []Event {
-	out := make([]Event, 0, len(rg.events))
-	out = append(out, rg.events[rg.head:]...)
-	out = append(out, rg.events[:rg.head]...)
-	return out
-}
-
-// Do calls fn for each retained event, oldest first, without copying.
-func (rg *Ring) Do(fn func(Event)) {
-	for _, ev := range rg.events[rg.head:] {
-		fn(ev)
-	}
-	for _, ev := range rg.events[:rg.head] {
-		fn(ev)
-	}
-}

@@ -1,7 +1,6 @@
 // Package telemetry is the virtual-time observability subsystem: metrics
-// (counters, gauges, fixed-bucket histograms), spans (begin/end regions
-// nested per track), and bounded instant-event rings, all registered in a
-// per-platform Registry and exportable as a Chrome trace_event JSON file
+// (counters, gauges, fixed-bucket histograms) and spans (begin/end regions
+// nested per track), all registered in a per-platform Registry and exportable as a Chrome trace_event JSON file
 // or a deterministic metrics snapshot.
 //
 // Design constraints, in order:
@@ -52,8 +51,6 @@ type Registry struct {
 	dropped    int64
 	nextSpanID int64
 	nextReqID  int64
-
-	rings []*Ring
 }
 
 // NewRegistry creates a registry reading virtual time from clock.

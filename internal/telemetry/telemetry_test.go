@@ -79,7 +79,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Instant("cat", "name")
 	tr.End()
 	tr.End() // extra End must not panic
-	r.AddRing(NewRing(4))
 	if r.SpanCount() != 0 || r.SpanDrops() != 0 {
 		t.Error("nil registry recorded spans")
 	}
@@ -123,37 +122,6 @@ func TestSpanCap(t *testing.T) {
 	}
 	if r.SpanCount() != 3 || r.SpanDrops() != 2 {
 		t.Errorf("spans=%d drops=%d, want 3/2", r.SpanCount(), r.SpanDrops())
-	}
-}
-
-func TestRingWraparound(t *testing.T) {
-	rg := NewRing(3)
-	for i := int64(0); i < 10; i++ {
-		rg.Append(Event{At: i, Cat: "x", Msg: "m"})
-	}
-	if rg.Len() != 3 || rg.Dropped() != 7 {
-		t.Fatalf("len=%d dropped=%d, want 3/7", rg.Len(), rg.Dropped())
-	}
-	evs := rg.Events()
-	for i, want := range []int64{7, 8, 9} {
-		if evs[i].At != want {
-			t.Errorf("event %d at %d, want %d", i, evs[i].At, want)
-		}
-	}
-	var seen []int64
-	rg.Do(func(ev Event) { seen = append(seen, ev.At) })
-	if len(seen) != 3 || seen[0] != 7 || seen[2] != 9 {
-		t.Errorf("Do order = %v", seen)
-	}
-}
-
-func TestRingUnbounded(t *testing.T) {
-	rg := NewRing(0)
-	for i := int64(0); i < 100; i++ {
-		rg.Append(Event{At: i})
-	}
-	if rg.Len() != 100 || rg.Dropped() != 0 {
-		t.Errorf("unbounded ring len=%d dropped=%d", rg.Len(), rg.Dropped())
 	}
 }
 
