@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck noise stash slo sched bench bench-hot bench-wheel bench-stash bench-sched bench-suite bench-telemetry bench-audit bench-slo bench-diff bench-accept audit profile profile-cpu cover ci
+.PHONY: all build test race fuzz vet staticcheck noise stash slo sched bench bench-hot bench-wheel bench-stash bench-sched bench-suite bench-telemetry bench-audit bench-slo bench-diff bench-accept audit profile profile-cpu cover ci
 
 # Pinned staticcheck release; CI installs exactly this version so lint
 # results are reproducible.
@@ -22,6 +22,12 @@ test:
 # engine invariant beneath it.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
+
+# Fuzz the engine's event order against a sorted-slice reference model.
+# Plain `go test` runs only the committed seed corpus
+# (internal/sim/testdata/fuzz/FuzzEngineOrder).
+fuzz:
+	$(GO) test ./internal/sim -run NONE -fuzz FuzzEngineOrder -fuzztime 30s
 
 vet:
 	$(GO) vet ./...
@@ -61,9 +67,11 @@ CPUS ?= 0,2
 sched: build
 	$(GO) run ./cmd/gb-experiments -scale quick -cpus $(CPUS) noise slo
 
-# Engine hot-path microbenchmarks.
+# Engine hot-path microbenchmarks: event schedule/fire and cancel, the
+# goroutine handoff a Sleep pays when another event is due first, and a
+# lone sleeper resuming in place. All must report 0 allocs/op.
 bench:
-	$(GO) test ./internal/sim -run NONE -bench 'BenchmarkSchedule|BenchmarkScheduleCancel|BenchmarkProcessHandoff' -benchmem
+	$(GO) test ./internal/sim -run NONE -bench 'BenchmarkSchedule|BenchmarkScheduleCancel|BenchmarkProcessHandoff|BenchmarkSleepInPlace' -benchmem
 
 # Kernel hot-path microbenchmarks: the per-page paths (cache hit/evict,
 # VM clock touch, intrusive ring ops) that must stay at 0 allocs/op.
@@ -163,4 +171,4 @@ bench-accept: build
 cover:
 	$(GO) test -cover ./...
 
-ci: build vet staticcheck test race bench-hot bench-wheel bench-stash bench-slo bench-sched bench-diff
+ci: build vet staticcheck test race fuzz bench-hot bench-wheel bench-stash bench-slo bench-sched bench-diff

@@ -159,13 +159,14 @@ func RunTrialsWithSnapshot[T any](n int, build func(seed uint64) *simos.System,
 	})
 }
 
-// Virtual-time accounting for the -bench-out report: every platform built
-// through newSystem/newMultiDiskSystem is registered here, and the CLI
-// drains the total after each experiment. Mini-simulations that build raw
-// engines (internal/priorart) are not tracked.
+// Virtual-time accounting for the -bench-out report: the engine of every
+// platform built through newSystem/newMultiDiskSystem is registered here,
+// and the CLI drains the total after each experiment. Only the engine is
+// kept, so a finished trial's machine can be collected. Mini-simulations
+// that build raw engines (internal/priorart) are not tracked.
 var (
 	vtMu      sync.Mutex
-	vtSystems []*simos.System
+	vtEngines []*sim.Engine
 )
 
 func trackSystem(s *simos.System) *simos.System {
@@ -182,7 +183,7 @@ func trackSystem(s *simos.System) *simos.System {
 		audMu.Unlock()
 	}
 	vtMu.Lock()
-	vtSystems = append(vtSystems, s)
+	vtEngines = append(vtEngines, s.Engine)
 	vtMu.Unlock()
 	return s
 }
@@ -193,9 +194,9 @@ func TakeVirtualTime() sim.Time {
 	vtMu.Lock()
 	defer vtMu.Unlock()
 	var total sim.Time
-	for _, s := range vtSystems {
-		total += s.Engine.Now()
+	for _, e := range vtEngines {
+		total += e.Now()
 	}
-	vtSystems = nil
+	vtEngines = nil
 	return total
 }

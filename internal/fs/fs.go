@@ -106,7 +106,7 @@ type group struct {
 	inodeBlks  int64
 	dataStart  int64
 	dataBlocks int64
-	freeData   []bool // indexed from dataStart
+	used       []uint64 // data-block bitmap from dataStart; a set bit is in use
 	nfree      int64
 	rotor      int64 // next-fit allocation position (FFS-style)
 	inodeUsed  []bool
@@ -164,13 +164,10 @@ func New(e *sim.Engine, d *disk.Disk, c *cache.Cache, cfg Config) *FS {
 			inodeBlks:  inodeBlks,
 			dataStart:  start + inodeBlks,
 			dataBlocks: dataBlocks,
-			freeData:   make([]bool, dataBlocks),
+			used:       make([]uint64, (dataBlocks+63)/64),
 			nfree:      dataBlocks,
 			inodeUsed:  make([]bool, cfg.InodesPerGroup),
 		})
-		for i := range fs.groups[g].freeData {
-			fs.groups[g].freeData[i] = true
-		}
 	}
 	return fs
 }
@@ -284,6 +281,21 @@ func (fs *FS) freeInode(ino Ino) {
 
 // --- block allocation ---
 
+// isFree reports whether data block idx of the group is free.
+func (gr *group) isFree(idx int64) bool { return gr.used[idx>>6]&(1<<(idx&63)) == 0 }
+
+// take marks free data block idx in use.
+func (gr *group) take(idx int64) {
+	gr.used[idx>>6] |= 1 << (idx & 63)
+	gr.nfree--
+}
+
+// release marks used data block idx free.
+func (gr *group) release(idx int64) {
+	gr.used[idx>>6] &^= 1 << (idx & 63)
+	gr.nfree++
+}
+
 // allocBlocks allocates n data blocks for a file whose directory lives in
 // group g. FFS policy: first-fit from the start of the group so that
 // freed holes are reused (which is what ages the layout); spill into
@@ -303,9 +315,8 @@ func (fs *FS) allocBlocks(g int, n int64) ([]int64, error) {
 		for int64(len(out)) < n {
 			blk := fs.lfsRotor
 			fs.lfsRotor = (fs.lfsRotor + 1) % span
-			if gr, idx := fs.groupForBlock(blk); gr != nil && gr.freeData[idx] {
-				gr.freeData[idx] = false
-				gr.nfree--
+			if gr, idx := fs.groupForBlock(blk); gr != nil && gr.isFree(idx) {
+				gr.take(idx)
 				out = append(out, blk)
 			}
 		}
@@ -324,9 +335,8 @@ func (fs *FS) allocBlocks(g int, n int64) ([]int64, error) {
 			start := gr.rotor
 			for i := int64(0); i < gr.dataBlocks && int64(len(out)) < n; i++ {
 				idx := (start + i) % gr.dataBlocks
-				if gr.freeData[idx] {
-					gr.freeData[idx] = false
-					gr.nfree--
+				if gr.isFree(idx) {
+					gr.take(idx)
 					gr.rotor = (idx + 1) % gr.dataBlocks
 					out = append(out, gr.dataStart+idx)
 				}
@@ -355,11 +365,10 @@ func (fs *FS) freeBlocks(blocks []int64) {
 		if gr == nil {
 			panic(fmt.Sprintf("fs: freeing metadata block %d", blk))
 		}
-		if gr.freeData[idx] {
+		if gr.isFree(idx) {
 			panic(fmt.Sprintf("fs: double free of block %d", blk))
 		}
-		gr.freeData[idx] = true
-		gr.nfree++
+		gr.release(idx)
 	}
 }
 

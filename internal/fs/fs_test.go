@@ -161,6 +161,52 @@ func TestAllocatorNeverDoubleAllocates(t *testing.T) {
 	})
 }
 
+// TestAllocateEveryBlock fills a disk of default-geometry groups through
+// the allocator and empties it again. A default group's data area ends
+// mid-word in the used bitmap, so both allocation policies walk each
+// group's partial last word.
+func TestAllocateEveryBlock(t *testing.T) {
+	for _, policy := range []AllocPolicy{AllocFFS, AllocLFS} {
+		e := sim.NewEngine(1)
+		cfg := DefaultConfig()
+		cfg.Alloc = policy
+		dp := disk.DefaultParams()
+		dp.Cylinders = 4*cfg.GroupCylinders + 5 // four groups and a partial tail
+		pool := mem.NewPool(e, 64)
+		f := New(e, disk.New(e, dp), cache.New(e, cache.Config{}, cache.NewClock(), pool), cfg)
+		if len(f.groups) != 4 || f.groups[0].dataBlocks%64 == 0 {
+			t.Fatalf("geometry: %d groups of %d data blocks, want 4 ending mid-word", len(f.groups), f.groups[0].dataBlocks)
+		}
+		free := f.FreeSpace()
+		blocks, err := f.allocBlocks(1, free)
+		if err != nil {
+			t.Fatalf("policy %d: allocating all %d free blocks: %v", policy, free, err)
+		}
+		perGroup := f.groups[0].inodeBlks + f.groups[0].dataBlocks
+		seen := make(map[int64]bool, len(blocks))
+		for _, b := range blocks {
+			g := b / perGroup
+			if g >= int64(len(f.groups)) || b < f.groups[g].dataStart {
+				t.Fatalf("policy %d: block %d is outside its group's data range", policy, b)
+			}
+			if seen[b] {
+				t.Fatalf("policy %d: block %d allocated twice", policy, b)
+			}
+			seen[b] = true
+		}
+		if int64(len(blocks)) != free || f.FreeSpace() != 0 {
+			t.Fatalf("policy %d: got %d blocks, %d still free; want %d and 0", policy, len(blocks), f.FreeSpace(), free)
+		}
+		if _, err := f.allocBlocks(0, 1); err == nil {
+			t.Errorf("policy %d: allocation on a full disk succeeded", policy)
+		}
+		f.freeBlocks(blocks)
+		if f.FreeSpace() != free {
+			t.Errorf("policy %d: FreeSpace = %d after freeing everything, want %d", policy, f.FreeSpace(), free)
+		}
+	}
+}
+
 func TestReadChargesDiskThenCache(t *testing.T) {
 	w := newWorld(t)
 	const size = 1 << 20 // 1 MB

@@ -16,7 +16,7 @@ type Snapshot struct {
 // groupState is the mutable part of a cylinder group; the geometry
 // (inodeStart, dataStart, ...) is derived from Config and rebuilt by New.
 type groupState struct {
-	freeData  []bool
+	used      []uint64
 	nfree     int64
 	rotor     int64
 	inodeUsed []bool
@@ -52,7 +52,7 @@ func (fs *FS) Snapshot() *Snapshot {
 	}
 	for i, gr := range fs.groups {
 		s.groups[i] = groupState{
-			freeData:  append([]bool(nil), gr.freeData...),
+			used:      append([]uint64(nil), gr.used...),
 			nfree:     gr.nfree,
 			rotor:     gr.rotor,
 			inodeUsed: append([]bool(nil), gr.inodeUsed...),
@@ -76,7 +76,7 @@ func (fs *FS) Restore(s *Snapshot) {
 	}
 	for i, gs := range s.groups {
 		gr := fs.groups[i]
-		copy(gr.freeData, gs.freeData)
+		copy(gr.used, gs.used)
 		gr.nfree = gs.nfree
 		gr.rotor = gs.rotor
 		copy(gr.inodeUsed, gs.inodeUsed)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"graybox/internal/telemetry"
 )
@@ -79,6 +80,12 @@ type Engine struct {
 	// wheelMin is defaultWheelMin; tests/benchmarks override.
 	wheelMin int
 
+	// horizon is the latest time the running driver may fire an event:
+	// maxTime under Run and WaitAll, the deadline under RunUntil, and
+	// noHorizon otherwise. Proc.Sleep resumes in place only when its wake
+	// would fire next and by the horizon.
+	horizon Time
+
 	// yield carries control back from a running process to the engine
 	// loop. All processes share it; only the currently-running process
 	// ever sends on it.
@@ -104,8 +111,20 @@ func NewEngine(seed uint64) *Engine {
 		seed:     seed,
 		yield:    make(chan struct{}),
 		wheelMin: defaultWheelMin,
+		horizon:  noHorizon,
 	}
 }
+
+// Driver horizons (Engine.horizon).
+const (
+	maxTime Time = math.MaxInt64
+	// noHorizon is below every wake time, so a bare step never resumes a
+	// sleeper in place.
+	noHorizon Time = -1
+)
+
+// endDrive closes a Run, RunUntil or WaitAll call.
+func (e *Engine) endDrive() { e.horizon = noHorizon }
 
 // Seed returns the seed the engine (and its RNG) was created with.
 func (e *Engine) Seed() uint64 { return e.seed }
@@ -258,6 +277,8 @@ func (e *Engine) step() bool {
 // remain blocked with no event that could ever wake them (a simulation
 // deadlock), since silently returning would make such bugs easy to miss.
 func (e *Engine) Run() {
+	e.horizon = maxTime
+	defer e.endDrive()
 	for e.step() {
 	}
 	if e.liveBlocked() > 0 {
@@ -268,6 +289,8 @@ func (e *Engine) Run() {
 // RunUntil processes events with fire times <= deadline and then advances
 // the clock to exactly deadline. Blocked processes are left parked.
 func (e *Engine) RunUntil(deadline Time) {
+	e.horizon = deadline
+	defer e.endDrive()
 	for {
 		ev := e.q.peekLive()
 		if ev == nil || ev.at > deadline {

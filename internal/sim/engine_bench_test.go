@@ -96,8 +96,26 @@ func BenchmarkHeapSchedule(b *testing.B) {
 }
 
 // BenchmarkProcessHandoff measures the engine<->process goroutine handoff
-// (park/wake round-trip) via the Sleep fast path.
+// (park/wake round trip) that Sleep pays when another event is due first:
+// two processes sleep in turn, so each one's wake always queues behind
+// the other's and no Sleep resumes in place.
 func BenchmarkProcessHandoff(b *testing.B) {
+	e := NewEngine(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sleeper := func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		}
+	}
+	e.WaitAll(e.Go("a", sleeper((b.N+1)/2)), e.Go("b", sleeper(b.N/2)))
+}
+
+// BenchmarkSleepInPlace measures a lone sleeper, whose wake is always the
+// next event, so every Sleep resumes in place without a handoff.
+func BenchmarkSleepInPlace(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -176,12 +176,27 @@ func (p *Proc) wake() {
 
 // Sleep advances this process's virtual time by d, letting other events
 // run in between. d must be >= 0; Sleep(0) yields to same-time events.
+//
+// When the wake would be the next event to fire, and the running driver
+// would fire it, Sleep resumes in place: it advances the clock and
+// consumes the wake's sequence number without queueing it or switching
+// goroutines. The wake would carry the newest seq, so it fires next
+// exactly when the earliest pending event is strictly later.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
+	e := p.e
+	at := e.now + d
+	if at <= e.horizon {
+		if next := e.q.peekLive(); next == nil || next.at > at {
+			e.now = at
+			e.seq++
+			return
+		}
+	}
 	p.setState(procBlocked)
-	p.e.scheduleWake(p.e.now+d, p)
+	e.scheduleWake(at, p)
 	p.park()
 }
 
@@ -206,8 +221,11 @@ func (e *Engine) Unblock(p *Proc) {
 }
 
 // WaitAll runs the engine until every listed process has finished. It
-// panics on simulation deadlock.
+// panics on simulation deadlock. Its exit test cannot change while a
+// process sleeps in place, since only a running process can finish.
 func (e *Engine) WaitAll(ps ...*Proc) {
+	e.horizon = maxTime
+	defer e.endDrive()
 	for {
 		done := true
 		for _, p := range ps {

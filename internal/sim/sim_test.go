@@ -219,6 +219,26 @@ func TestProcVirtualTimeAdvances(t *testing.T) {
 	}
 }
 
+// TestStepNeverResumesInPlace pins the driver horizon: once WaitAll has
+// returned, a bare step fires exactly one event, so a sleeper parks at
+// every Sleep instead of running on in place.
+func TestStepNeverResumesInPlace(t *testing.T) {
+	e := NewEngine(1)
+	first := e.Go("first", func(*Proc) {})
+	p := e.Spawn("sleeper", 1, func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.WaitAll(first) // leaves the sleeper's start pending
+	for i := 1; i <= 3; i++ {
+		e.step()
+		if e.Now() != Time(i) || p.State() != StateBlocked {
+			t.Fatalf("after step %d: Now = %v, state %v; want %v, blocked", i, e.Now(), p.State(), Time(i))
+		}
+	}
+}
+
 func TestBlockUnblock(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
