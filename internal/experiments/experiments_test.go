@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // cellFloat parses a numeric table cell ("0.42", "3.21±0.02", "12MB",
@@ -344,5 +346,21 @@ func TestRegistry(t *testing.T) {
 	})
 	if a, b := ByID("fig5"), ByID("fig5"); a == b {
 		t.Error("ByID returned a shared pointer; callers could alias each other's Runner")
+	}
+}
+
+// TestMacAccuracyPointDrainsHog: a mac-accuracy point must return with
+// every simulated process finished. A hog left parked on its pending
+// wake keeps its goroutine, and through it the whole machine, reachable.
+func TestMacAccuracyPointDrainsHog(t *testing.T) {
+	before := runtime.NumGoroutine()
+	macAccuracyPoint(QuickScale(), 0.5, 8000)
+	// A finished process's goroutine exits just after handing control
+	// back to the engine, so give it a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the point, %d before: a process is still parked", n, before)
 	}
 }

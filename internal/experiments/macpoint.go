@@ -22,7 +22,7 @@ func macAccuracyPoint(sc Scale, frac float64, seed uint64) (rec audit.MACRecord,
 
 	stop := false
 	ready := false
-	s.Spawn("hog", 0, func(os *simos.OS) {
+	hog := s.Spawn("hog", 0, func(os *simos.OS) {
 		m := os.Malloc(hogBytes)
 		for !stop {
 			os.TouchRange(m, 0, m.Pages(), true)
@@ -48,5 +48,9 @@ func macAccuracyPoint(sc Scale, frac float64, seed uint64) (rec audit.MACRecord,
 	s.Engine.WaitAll(p)
 	mustNoErr(p.Err())
 	rec, _ = aud.LastMAC()
+	// Drain the hog: it wakes, sees stop and returns. Left parked, it
+	// would keep its goroutine, and with it the whole machine, alive.
+	s.Engine.WaitAll(hog)
+	mustNoErr(hog.Err())
 	return rec, hogMB, availMB
 }
