@@ -23,11 +23,14 @@ test:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
 
-# Fuzz the engine's event order against a sorted-slice reference model.
-# Plain `go test` runs only the committed seed corpus
-# (internal/sim/testdata/fuzz/FuzzEngineOrder).
+# Fuzz the engine's event order against a sorted-slice reference model,
+# and cache operation sequences against a map-based reference cache.
+# Plain `go test` runs only the committed seed corpora
+# (testdata/fuzz/FuzzEngineOrder in internal/sim, testdata/fuzz/FuzzCacheOps
+# in internal/cache).
 fuzz:
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzEngineOrder -fuzztime 30s
+	$(GO) test ./internal/cache -run NONE -fuzz FuzzCacheOps -fuzztime 30s
 
 vet:
 	$(GO) vet ./...
@@ -74,13 +77,14 @@ bench:
 	$(GO) test ./internal/sim -run NONE -bench 'BenchmarkSchedule|BenchmarkScheduleCancel|BenchmarkProcessHandoff|BenchmarkSleepInPlace' -benchmem
 
 # Kernel hot-path microbenchmarks: the per-page paths (cache hit/evict,
-# VM clock touch, intrusive ring ops) that must stay at 0 allocs/op.
+# VM clock touch, intrusive ring ops) that must stay at 0 allocs/op,
+# plus the cost of forking a warm 24K-page cache (BenchmarkCacheRestore).
 # CI runs this and archives the -benchmem output next to the BENCH
 # report; the matching AllocsPerRun guard tests fail `make test` if a
 # steady-state allocation creeps back in.
 bench-hot:
 	$(GO) test ./internal/ring ./internal/cache ./internal/vm -run NONE \
-		-bench 'BenchmarkMoveToFront|BenchmarkRemovePushBack|BenchmarkLookupHit|BenchmarkInsertEvict|BenchmarkTouchResident' -benchmem
+		-bench 'BenchmarkMoveToFront|BenchmarkRemovePushBack|BenchmarkLookupHit|BenchmarkInsertEvict|BenchmarkCacheRestore|BenchmarkTouchResident' -benchmem
 
 # Timer-wheel vs binary-heap scheduler microbenchmark: the same
 # 8K-outstanding-timer load driven through the hierarchical wheel and
