@@ -1,10 +1,11 @@
 # Tier-1 gates and perf tooling. `make race` is the correctness gate for
-# the parallel trial harness; `make bench` tracks the engine fast path and
-# writes the suite's BENCH_experiments.json.
+# the parallel trial harness; `make bench` runs every layer's hot-path
+# microbenchmarks, and `make bench-suite` writes the suite's
+# BENCH_experiments.json.
 
 GO ?= go
 
-.PHONY: all build test race fuzz vet staticcheck noise stash slo sched bench bench-hot bench-wheel bench-stash bench-sched bench-suite bench-telemetry bench-audit bench-slo bench-diff bench-accept audit profile profile-cpu cover ci
+.PHONY: all build test race fuzz vet staticcheck noise stash slo sched bench bench-suite bench-diff bench-accept audit profile profile-cpu cover ci
 
 # Pinned staticcheck release; CI installs exactly this version so lint
 # results are reproducible.
@@ -70,68 +71,24 @@ CPUS ?= 0,2
 sched: build
 	$(GO) run ./cmd/gb-experiments -scale quick -cpus $(CPUS) noise slo
 
-# Engine hot-path microbenchmarks: event schedule/fire and cancel, the
-# goroutine handoff a Sleep pays when another event is due first, and a
-# lone sleeper resuming in place. All must report 0 allocs/op.
+# Hot-path microbenchmarks of every layer, with allocation reporting:
+# engine event dispatch, process handoff and the SMP scheduler (sim);
+# intrusive rings, cache hit/evict and fork, and the VM page touch
+# (ring, cache, vm); the stash tier; and the overhead of telemetry, audit
+# and request tracing with each disabled (simos, core/fccd, telemetry).
+# No number here is a gate: the AllocsPerRun tests in `make test` fail
+# when a 0-allocs/op path allocates. The second line runs one 10⁶-process
+# contended trial (a single iteration: the trial is seconds long).
 bench:
-	$(GO) test ./internal/sim -run NONE -bench 'BenchmarkSchedule|BenchmarkScheduleCancel|BenchmarkProcessHandoff|BenchmarkSleepInPlace' -benchmem
-
-# Kernel hot-path microbenchmarks: the per-page paths (cache hit/evict,
-# VM clock touch, intrusive ring ops) that must stay at 0 allocs/op,
-# plus the cost of forking a warm 24K-page cache (BenchmarkCacheRestore).
-# CI runs this and archives the -benchmem output next to the BENCH
-# report; the matching AllocsPerRun guard tests fail `make test` if a
-# steady-state allocation creeps back in.
-bench-hot:
-	$(GO) test ./internal/ring ./internal/cache ./internal/vm -run NONE \
-		-bench 'BenchmarkMoveToFront|BenchmarkRemovePushBack|BenchmarkLookupHit|BenchmarkInsertEvict|BenchmarkCacheRestore|BenchmarkTouchResident' -benchmem
-
-# Timer-wheel vs binary-heap scheduler microbenchmark: the same
-# 8K-outstanding-timer load driven through the hierarchical wheel and
-# through the heap alone. Both must report 0 allocs/op (the matching
-# AllocsPerRun guard test fails `make test` otherwise); the wheel side
-# is the number that must not regress.
-bench-wheel:
-	$(GO) test ./internal/sim -run NONE \
-		-bench 'BenchmarkTimerWheel|BenchmarkHeapSchedule' -benchmem
-
-# Stash hot-path microbenchmarks: hit, miss+admit+evict, and gray-box
-# admission probing — all must report 0 allocs/op (the AllocsPerRun
-# guards in internal/stash fail `make test` otherwise).
-bench-stash:
-	$(GO) test ./internal/stash -run NONE -bench 'BenchmarkStash' -benchmem
-
-# SMP scheduler scale benchmarks: a 100k-process contended trial
-# (procs/s) and the steady-state dispatch round, which must report 0
-# allocs/op (the AllocsPerRun guard in internal/sim fails `make test`
-# otherwise), then one 10⁶-process contended trial (a single iteration:
-# the trial is seconds long).
-bench-sched:
-	$(GO) test ./internal/sim -run NONE \
-		-bench 'BenchmarkSched100kProcs|BenchmarkSchedDispatch' -benchmem
+	$(GO) test ./internal/sim ./internal/ring ./internal/cache ./internal/vm \
+		./internal/stash ./internal/simos ./internal/core/fccd ./internal/telemetry \
+		-run NONE -bench . -skip BenchmarkSched1MProcs -benchmem
 	$(GO) test ./internal/sim -run NONE -bench BenchmarkSched1MProcs \
 		-benchtime 1x -timeout 30m -benchmem
 
 # Full quick-scale suite with the per-experiment timing report.
 bench-suite: build
 	$(GO) run ./cmd/gb-experiments -scale quick -o /dev/null -bench-out BENCH_experiments.json
-
-# Telemetry overhead guard: the disabled path must report 0 allocs/op.
-bench-telemetry:
-	$(GO) test ./internal/simos -run NONE -bench BenchmarkTelemetryOverhead -benchmem
-
-# Audit overhead guard: with auditing disabled the instrumented ICL hot
-# path must report 0 B/op beyond the uninstrumented baseline.
-bench-audit:
-	$(GO) test ./internal/core/fccd -run NONE -bench BenchmarkAuditOverhead -benchmem
-
-# Request-tracing overhead guard: the full per-request instrumentation
-# sequence (request root span, stage spans, queue-wait attribution,
-# latency sketch, SLO check) must report 0 allocs/op with telemetry
-# disabled (the AllocsPerRun guards in internal/telemetry and
-# internal/simos fail `make test` otherwise).
-bench-slo:
-	$(GO) test ./internal/telemetry -run NONE -bench BenchmarkRequestPath -benchmem
 
 # Oracle-grounded inference audit of the quick suite: every ICL
 # prediction scored against simulator ground truth.
@@ -175,4 +132,4 @@ bench-accept: build
 cover:
 	$(GO) test -cover ./...
 
-ci: build vet staticcheck test race fuzz bench-hot bench-wheel bench-stash bench-slo bench-sched bench-diff
+ci: build vet staticcheck test race fuzz bench bench-diff

@@ -124,16 +124,19 @@ func SetSnapshotReuse(on bool) { snapshotReuse.Store(on) }
 // processes, no randomness — so that build(seed) and Fork(seed) are
 // interchangeable; the Snapshot call enforces those preconditions. With
 // snapshot reuse off, every Trial falls back to a cold build(seed).
-// Trial is safe for concurrent use by pool workers.
+// Trial is safe for concurrent use by pool workers. If building or
+// snapshotting the base panics, every Trial re-raises that panic.
 type SnapshotPlatform struct {
 	build func(seed uint64) *simos.System
-	once  sync.Once
-	snap  *simos.Snapshot
+	snap  func() *simos.Snapshot
 }
 
 // NewSnapshotPlatform wraps an untracked platform builder.
 func NewSnapshotPlatform(build func(seed uint64) *simos.System) *SnapshotPlatform {
-	return &SnapshotPlatform{build: build}
+	return &SnapshotPlatform{
+		build: build,
+		snap:  sync.OnceValue(func() *simos.Snapshot { return build(0).Snapshot() }),
+	}
 }
 
 // Trial returns a machine seeded with seed, either forked from the
@@ -143,8 +146,7 @@ func (sp *SnapshotPlatform) Trial(seed uint64) *simos.System {
 	if !snapshotReuse.Load() {
 		return trackSystem(sp.build(seed))
 	}
-	sp.once.Do(func() { sp.snap = sp.build(0).Snapshot() })
-	return trackSystem(sp.snap.Fork(seed))
+	return trackSystem(sp.snap().Fork(seed))
 }
 
 // RunTrialsWithSnapshot is RunTrials for sweeps whose trials share one

@@ -72,6 +72,24 @@ func TestRunTrialsPanicPropagates(t *testing.T) {
 	})
 }
 
+// TestSnapshotPlatformRepanics pins the failure path of the shared base:
+// when its build panics, every Trial panics with the build's own value,
+// not only the first one to build it.
+func TestSnapshotPlatformRepanics(t *testing.T) {
+	const msg = "base build failed"
+	sp := NewSnapshotPlatform(func(uint64) *simos.System { panic(msg) })
+	for call := 1; call <= 2; call++ {
+		func() {
+			defer func() {
+				if r := recover(); r != msg {
+					t.Errorf("Trial call %d panicked with %v, want %q", call, r, msg)
+				}
+			}()
+			sp.Trial(1)
+		}()
+	}
+}
+
 func TestRunTrialsZeroAndSequential(t *testing.T) {
 	if out := RunTrials(0, func(i int) int { return i }); len(out) != 0 {
 		t.Errorf("RunTrials(0) returned %v", out)

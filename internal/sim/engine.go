@@ -11,13 +11,12 @@ import (
 // scheduling order (seq), which keeps the simulation deterministic.
 //
 // Events are pooled: once fired or drained as a tombstone the struct goes
-// onto the queue's free list and is reused by a later Schedule. gen is
-// bumped at recycle time so stale Event handles can never touch the new
-// occupant.
+// onto the queue's free list and is reused by a later Schedule. Every
+// push stamps a fresh, ever-rising seq, and a handle acts only while its
+// seq matches, so stale Event handles can never touch the new occupant.
 type event struct {
 	at  Time
 	seq uint64
-	gen uint64
 	fn  func()
 	// proc, when non-nil, is handled instead of calling fn: kind selects
 	// a wake or a scheduler timeslice. Process wakes (Sleep, Unblock) are
@@ -25,25 +24,16 @@ type event struct {
 	// avoids allocating a wake closure per sleep; slice events reuse the
 	// same field so the SMP scheduler's hot path is closure-free too.
 	proc *Proc
-	next *event // free-list or wheel-slot link, nil while in a heap
+	next *event // free-list link, nil while in the heap
 	// kind discriminates proc events (evWake, evSlice); meaningless for
 	// fn events.
 	kind uint8
-	// loc records which structure holds the event, so Cancel maintains
-	// the right tombstone counter.
-	loc uint8
 }
 
 // Proc-event kinds.
 const (
 	evWake  uint8 = iota // resume ev.proc
 	evSlice              // timeslice expiry for ev.proc (sched.go)
-)
-
-// Event locations (event.loc).
-const (
-	locHeap  uint8 = iota // in the heap
-	locWheel              // chained in the timing wheel
 )
 
 // dead reports whether the slot is a tombstone (canceled or recycled).
@@ -53,7 +43,7 @@ func (ev *event) dead() bool { return ev.fn == nil && ev.proc == nil }
 // Schedule and After. The zero value is inert: Cancel on it is a no-op.
 type Event struct {
 	ev  *event
-	gen uint64
+	seq uint64
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -73,12 +63,8 @@ type Engine struct {
 	// nor canceled.
 	live int
 
-	// q holds the pending events: a timing wheel in front of a heap
-	// (wheel.go).
-	q lane
-
-	// wheelMin is defaultWheelMin; tests/benchmarks override.
-	wheelMin int
+	// q holds the pending events (queue.go).
+	q queue
 
 	// horizon is the latest time the running driver may fire an event:
 	// maxTime under Run and WaitAll, the deadline under RunUntil, and
@@ -107,11 +93,10 @@ type Engine struct {
 // RNG seeded with seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:      NewRNG(seed),
-		seed:     seed,
-		yield:    make(chan struct{}),
-		wheelMin: defaultWheelMin,
-		horizon:  noHorizon,
+		rng:     NewRNG(seed),
+		seed:    seed,
+		yield:   make(chan struct{}),
+		horizon: noHorizon,
 	}
 }
 
@@ -189,7 +174,7 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	}
 	ev := e.push(at)
 	ev.fn = fn
-	return Event{ev: ev, gen: ev.gen}
+	return Event{ev: ev, seq: ev.seq}
 }
 
 // scheduleWake schedules p.wake() at time at without allocating a closure.
@@ -205,7 +190,7 @@ func (e *Engine) push(at Time) *event {
 	ev.at, ev.seq = at, e.seq
 	e.seq++
 	e.live++
-	e.q.place(e, ev)
+	e.q.insert(ev)
 	return ev
 }
 
@@ -224,26 +209,15 @@ func (e *Engine) After(d Time, fn func()) Event {
 // O(1) instead of the O(n) scan + O(log n) removal it replaces.
 func (e *Engine) Cancel(h Event) {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.dead() {
+	if ev == nil || ev.seq != h.seq || ev.dead() {
 		return
 	}
 	ev.fn, ev.proc = nil, nil
 	e.live--
-	q := &e.q
 	// If churny callers (timeouts that almost always cancel) fill the heap
-	// or the wheel with tombstones, compact rather than let them pile up
-	// unboundedly.
-	if ev.loc == locWheel {
-		q.wheelLive--
-		q.wheelDead++
-		if q.wheelLive == 0 || (q.wheelDead > 64 && q.wheelDead > q.wheelLive) {
-			q.sweepWheel()
-		}
-		return
-	}
-	heapLive := e.live - q.wheelLive
-	if dead := len(q.events) - heapLive; dead > 64 && dead > heapLive {
-		q.compact()
+	// with tombstones, compact rather than let them pile up unboundedly.
+	if dead := len(e.q.events) - e.live; dead > 64 && dead > e.live {
+		e.q.compact()
 	}
 }
 

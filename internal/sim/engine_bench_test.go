@@ -46,13 +46,14 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// benchTimerLoad drives the timer population the wheel targets: a large
-// standing set of short-to-medium delay timers (microseconds to a few
-// milliseconds, the sleep/IO range of the simulator) with steady churn —
-// each firing schedules a replacement, and every fourth timer is
-// canceled and rescheduled, the ICL probe-timeout pattern.
-func benchTimerLoad(b *testing.B, e *Engine) {
+// BenchmarkHeapSchedule measures the heap under a large standing set of
+// short-to-medium delay timers (microseconds to a few milliseconds, the
+// sleep/IO range of the simulator) with steady churn: each firing
+// schedules a replacement, and every fourth timer is canceled and
+// rescheduled, the ICL probe-timeout pattern.
+func BenchmarkHeapSchedule(b *testing.B) {
 	const outstanding = 8192
+	e := NewEngine(1)
 	delays := [8]Time{5_000, 17_000, 40_000, 120_000, 350_000, 900_000, 2_100_000, 4_700_000}
 	fired := 0
 	var reschedule func()
@@ -77,22 +78,6 @@ func benchTimerLoad(b *testing.B, e *Engine) {
 		}
 	}
 	b.StopTimer()
-}
-
-// BenchmarkTimerWheel measures the hierarchical timing wheel under the
-// standing-timer churn load (wheel forced on).
-func BenchmarkTimerWheel(b *testing.B) {
-	e := NewEngine(1)
-	e.wheelMin = 0
-	benchTimerLoad(b, e)
-}
-
-// BenchmarkHeapSchedule measures the same load on the min-heap alone
-// (wheel forced off) — the before/after pair for make bench-wheel.
-func BenchmarkHeapSchedule(b *testing.B) {
-	e := NewEngine(1)
-	e.wheelMin = 1 << 40
-	benchTimerLoad(b, e)
 }
 
 // BenchmarkProcessHandoff measures the engine<->process goroutine handoff

@@ -54,7 +54,6 @@ type scriptOp struct {
 // RunUntil steps, then WaitAll on the top-level processes (optional) and
 // a final Run.
 type scenario struct {
-	wheel     bool // force the timing wheel on
 	scripts   [][]scriptOp
 	starts    []Time // start delay of each script's top-level process
 	deadlines []Time // RunUntil deadlines, ascending
@@ -63,13 +62,13 @@ type scenario struct {
 
 // decodeScenario reads data as
 //
-//	flags  bit 0: wheel on; (flags>>1)%3+1 scripts
+//	flags  bit 0 unused; (flags>>1)%3+1 scripts
 //	per script: start delay, op count (%9), then per op a kind byte
 //	  (bits 0-1 the op, the rest the spawned script) and a delay byte
 //	driver  %4 RunUntil steps, bit 2: WaitAll; then one delay byte per step
 //
-// A delay byte is (b&63) << {0, 12, 20, 28}[b>>6]: nanoseconds, wheel
-// ticks, about a millisecond, and past the wheel's horizon. Missing
+// A delay byte is (b&63) << {0, 12, 20, 28}[b>>6]: a count of
+// nanoseconds, of about 4 µs, of about 1 ms, or of about 268 ms. Missing
 // bytes read as zero.
 func decodeScenario(data []byte) scenario {
 	next := func() byte {
@@ -82,7 +81,7 @@ func decodeScenario(data []byte) scenario {
 	}
 	dur := func(b byte) Time { return Time(b&63) << [4]uint{0, 12, 20, 28}[b>>6] }
 	flags := next()
-	sc := scenario{wheel: flags&1 != 0}
+	var sc scenario
 	n := int(flags>>1)%3 + 1
 	for s := 0; s < n; s++ {
 		sc.starts = append(sc.starts, dur(next()))
@@ -106,9 +105,6 @@ func decodeScenario(data []byte) scenario {
 // runEngineScenario runs sc on the engine.
 func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 	e := NewEngine(1)
-	if sc.wheel {
-		e.wheelMin = 0
-	}
 	var procs []*Proc
 	closures := 0
 	var spawn func(script int, delay Time)

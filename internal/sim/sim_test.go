@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -147,6 +148,56 @@ func TestCancelChurnCompacts(t *testing.T) {
 	e.Run()
 	if !done {
 		t.Error("live event lost during compaction")
+	}
+}
+
+// TestEventRecordSize pins the pooled event record: N pending timers
+// hold N records, and one more field would move each from Go's 48-byte
+// size class to its 64-byte one.
+func TestEventRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 48 {
+		t.Errorf("event is %d bytes, want at most 48", size)
+	}
+}
+
+// TestEventSteadyStateAllocs guards the 0-alloc fast path: once the
+// event free list and heap capacity are primed, schedule/cancel and
+// schedule/fire cycles must not allocate.
+func TestEventSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	evs := make([]Event, 512)
+
+	// Prime the free list and heap capacity.
+	for r := 0; r < 4; r++ {
+		for i := range evs {
+			evs[i] = e.After(Time(1000+i*3000), fn)
+		}
+		for i := range evs {
+			e.Cancel(evs[i])
+		}
+		e.After(1, fn)
+		e.Run()
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range evs {
+			evs[i] = e.After(Time(1000+i*3000), fn)
+		}
+		for i := range evs {
+			e.Cancel(evs[i])
+		}
+	}); n != 0 {
+		t.Fatalf("schedule/cancel path allocates %.1f per run, want 0", n)
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range evs {
+			e.After(Time(1000+i*3000), fn)
+		}
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("schedule/fire path allocates %.1f per run, want 0", n)
 	}
 }
 
@@ -370,6 +421,46 @@ func TestWaitAll(t *testing.T) {
 	if !a.Done() || !b.Done() {
 		t.Fatal("WaitAll returned before processes finished")
 	}
+}
+
+// TestCheckpointRestore exercises the snapshot hooks: a quiescent
+// engine checkpoints, a fresh engine restores, and scheduling continues
+// the (at, seq) sequence.
+func TestCheckpointRestore(t *testing.T) {
+	e := NewEngine(9)
+	for i := 0; i < 10; i++ {
+		e.After(Time(i*100), func() {})
+	}
+	e.Run()
+	now, seq := e.Checkpoint()
+	if now != 900 || seq != 10 {
+		t.Fatalf("checkpoint = (%v, %d), want (900, 10)", now, seq)
+	}
+	if e.Seed() != 9 {
+		t.Fatalf("Seed() = %d, want 9", e.Seed())
+	}
+	if e.RNG().State() != NewRNG(9).State() {
+		t.Fatal("unconsumed RNG state mismatch")
+	}
+
+	e2 := NewEngine(9)
+	e2.Restore(now, seq)
+	if e2.Now() != now {
+		t.Fatalf("restored Now = %v, want %v", e2.Now(), now)
+	}
+	fired := false
+	e2.Schedule(now+1, func() { fired = true })
+	e2.Run()
+	if !fired {
+		t.Fatal("restored engine did not fire")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Restore on a used engine did not panic")
+		}
+	}()
+	e2.Restore(0, 0)
 }
 
 func TestDeterminism(t *testing.T) {
