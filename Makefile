@@ -28,10 +28,12 @@ race:
 # and cache operation sequences against a map-based reference cache.
 # Plain `go test` runs only the committed seed corpora
 # (testdata/fuzz/FuzzEngineOrder in internal/sim, testdata/fuzz/FuzzCacheOps
-# in internal/cache).
+# in internal/cache). Minimizing each new input is capped at 1 s: CI
+# keeps no fuzz corpus between runs, so minimizing only spends the
+# budget, and uncapped it stalls the search for seconds at a time.
 fuzz:
-	$(GO) test ./internal/sim -run NONE -fuzz FuzzEngineOrder -fuzztime 30s
-	$(GO) test ./internal/cache -run NONE -fuzz FuzzCacheOps -fuzztime 30s
+	$(GO) test ./internal/sim -run NONE -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/cache -run NONE -fuzz FuzzCacheOps -fuzztime 30s -fuzzminimizetime 1s
 
 vet:
 	$(GO) vet ./...

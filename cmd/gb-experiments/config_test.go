@@ -170,6 +170,8 @@ func TestParseConfigErrors(t *testing.T) {
 		{"negative cpus", []string{"-cpus", "-1"}, "negative"},
 		{"shard-parallel flag removed", []string{"-shard-parallel", "2"}, "not defined"},
 		{"mega scale removed", []string{"-scale", "mega"}, `unknown scale "mega"`},
+		// Flag parsing stops at the first id, so a later flag is an id.
+		{"flag after id", []string{"fig2", "-o", "out.txt"}, `unknown experiment "-o"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,10 @@
 //	               [-markdown] [-list] [-o file] [-bench-out file]
 //	               [-trace file] [-metrics file] [-audit file]
 //	               [-profile file] [-cpuprofile file] [-memprofile file]
-//	               [-workload list] [id ...]
+//	               [-workload list] [-cpus list] [id ...]
+//
+// Flags must precede the ids: the first id ends flag parsing, so a flag
+// after it is read as an unknown id and the run exits 2.
 //
 // With no ids, all experiments run in paper order. Available ids:
 // table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 mac-accuracy

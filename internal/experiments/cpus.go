@@ -49,25 +49,7 @@ func cpuSweepActive(list []int) bool {
 
 // buildSystemCPUs is buildSystem with a simulated-processor count.
 func buildSystemCPUs(p simos.Personality, sc Scale, seed uint64, cpus int) *simos.System {
-	kernel := sc.MemoryMB * 66 / 896
-	if kernel < 4 {
-		kernel = 4
-	}
-	floor := sc.MemoryMB * 4 / 896
-	if floor < 1 {
-		floor = 1
-	}
-	netbsdCache := sc.MemoryMB * 64 / 896
-	if netbsdCache < 2 {
-		netbsdCache = 2
-	}
-	return simos.New(simos.Config{
-		Personality:   p,
-		Seed:          seed,
-		MemoryMB:      sc.MemoryMB,
-		KernelMB:      kernel,
-		CacheFloorMB:  floor,
-		NetBSDCacheMB: netbsdCache,
-		CPUs:          cpus,
-	})
+	cfg := sc.machine(p, seed)
+	cfg.CPUs = cpus
+	return simos.New(cfg)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"graybox/internal/priorart"
 )
 
 // cellFloat parses a numeric table cell ("0.42", "3.21±0.02", "12MB",
@@ -267,11 +269,16 @@ func TestMACAccuracyShape(t *testing.T) {
 func TestPriorArtSweepShapes(t *testing.T) {
 	// Fairness near 1 across sender counts; implicit coscheduling's edge
 	// grows with background load.
-	if f := tcpFairness(4); f < 0.5 {
+	cfg := priorart.DefaultTCPConfig()
+	cfg.Senders = 4
+	if f := tcpFairness(priorart.RunTCP(cfg)); f < 0.5 {
 		t.Errorf("4-sender fairness = %v", f)
 	}
-	light := coschedSpeedup(1)
-	heavy := coschedSpeedup(4)
+	speedup := func(bg int) float64 {
+		impl, block := coschedElapsed(bg)
+		return float64(block) / float64(impl)
+	}
+	light, heavy := speedup(1), speedup(4)
 	if heavy <= light {
 		t.Errorf("coscheduling advantage did not grow with load: %v -> %v", light, heavy)
 	}

@@ -55,9 +55,8 @@ func Fig6(cfg Fig6Config) *Table {
 	costs := apps.DefaultCosts()
 	// Unlike the other figures, fig6 is a single stateful timeline: every
 	// epoch's churn mutates the one aged file system the next epoch
-	// measures, so there is nothing to fan out. It still runs through the
-	// trial pool (as one unit) for uniform panic propagation.
-	RunUnits(func() { fig6Run(cfg, t, costs) })
+	// measures, so there is nothing to fan out and it runs inline.
+	fig6Run(cfg, t, costs)
 	t.AddNote("paper: i-number order degrades >3x by epoch 30 but stays better than random; refresh restores fresh performance")
 	return t
 }

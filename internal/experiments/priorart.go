@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"graybox/internal/priorart"
+	"graybox/internal/sim"
 )
 
 // PriorArtSweeps runs parameter sweeps over the three Table 1 systems,
@@ -35,21 +37,13 @@ func PriorArtSweeps() *Table {
 			cfg := priorart.DefaultTCPConfig()
 			cfg.Senders = n
 			res := priorart.RunTCP(cfg)
-			var total, min, max int64
-			min = res.Delivered[0]
+			var total int64
 			for _, d := range res.Delivered {
 				total += d
-				if d < min {
-					min = d
-				}
-				if d > max {
-					max = d
-				}
 			}
-			fairness := float64(min) / float64(max)
 			return []string{"tcp", fmt.Sprintf("%d senders", n),
 				"goodput/fairness/drops",
-				fmt.Sprintf("%d pkts / %.2f / %d", total, fairness, res.Drops)}
+				fmt.Sprintf("%d pkts / %.2f / %d", total, tcpFairness(res), res.Drops)}
 		})
 	}
 
@@ -57,15 +51,10 @@ func PriorArtSweeps() *Table {
 	for _, bg := range bgLoads {
 		bg := bg
 		points = append(points, func() []string {
-			cfg := priorart.DefaultCoschedConfig()
-			cfg.Background = bg
-			impl := priorart.RunCosched(cfg)
-			cfg.Implicit = false
-			block := priorart.RunCosched(cfg)
+			impl, block := coschedElapsed(bg)
 			return []string{"cosched", fmt.Sprintf("%d bg procs", bg),
 				"implicit vs block",
-				fmt.Sprintf("%v vs %v (%.1fx)", impl.Elapsed, block.Elapsed,
-					float64(block.Elapsed)/float64(impl.Elapsed))}
+				fmt.Sprintf("%v vs %v (%.1fx)", impl, block, float64(block)/float64(impl))}
 		})
 	}
 
@@ -89,33 +78,24 @@ func PriorArtSweeps() *Table {
 	return t
 }
 
-// coschedSpeedup is a helper for tests.
-func coschedSpeedup(bg int) float64 {
+// coschedElapsed runs the coscheduled job beside bg background processes,
+// once with implicit coscheduling and once always blocking, and returns
+// the two elapsed times.
+func coschedElapsed(bg int) (implicit, block sim.Time) {
 	cfg := priorart.DefaultCoschedConfig()
 	cfg.Background = bg
-	impl := priorart.RunCosched(cfg)
+	implicit = priorart.RunCosched(cfg).Elapsed
 	cfg.Implicit = false
-	block := priorart.RunCosched(cfg)
-	return float64(block.Elapsed) / float64(impl.Elapsed)
+	block = priorart.RunCosched(cfg).Elapsed
+	return implicit, block
 }
 
-// tcpFairness is a helper for tests.
-func tcpFairness(senders int) float64 {
-	cfg := priorart.DefaultTCPConfig()
-	cfg.Senders = senders
-	res := priorart.RunTCP(cfg)
-	var min, max int64
-	min = res.Delivered[0]
-	for _, d := range res.Delivered {
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	if max == 0 {
+// tcpFairness is the ratio of the fewest to the most packets any one
+// sender delivered: 1 is perfectly fair, and it is 0 when none delivered.
+func tcpFairness(res priorart.TCPResult) float64 {
+	most := slices.Max(res.Delivered)
+	if most == 0 {
 		return 0
 	}
-	return float64(min) / float64(max)
+	return float64(slices.Min(res.Delivered)) / float64(most)
 }

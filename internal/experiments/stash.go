@@ -44,23 +44,10 @@ const (
 // buildStashSystem is buildSystem plus the fast tier disk the stash
 // backing file lives on.
 func buildStashSystem(sc Scale, seed uint64) *simos.System {
-	kernel := sc.MemoryMB * 66 / 896
-	if kernel < 4 {
-		kernel = 4
-	}
-	floor := sc.MemoryMB * 4 / 896
-	if floor < 1 {
-		floor = 1
-	}
 	fast := disk.FastParams()
-	return simos.New(simos.Config{
-		Personality:  simos.Linux22,
-		Seed:         seed,
-		MemoryMB:     sc.MemoryMB,
-		KernelMB:     kernel,
-		CacheFloorMB: floor,
-		TierDisk:     &fast,
-	})
+	cfg := sc.machine(simos.Linux22, seed)
+	cfg.TierDisk = &fast
+	return simos.New(cfg)
 }
 
 // poolBlocks returns the frame-pool capacity in pages (= stash blocks;

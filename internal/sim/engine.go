@@ -10,10 +10,8 @@ import (
 // event is a scheduled callback. Events with equal fire times run in
 // scheduling order (seq), which keeps the simulation deterministic.
 //
-// Events are pooled: once fired or drained as a tombstone the struct goes
-// onto the queue's free list and is reused by a later Schedule. Every
-// push stamps a fresh, ever-rising seq, and a handle acts only while its
-// seq matches, so stale Event handles can never touch the new occupant.
+// Events are pooled: once fired the struct goes onto the queue's free
+// list and is reused by a later push.
 type event struct {
 	at  Time
 	seq uint64
@@ -36,16 +34,6 @@ const (
 	evSlice              // timeslice expiry for ev.proc (sched.go)
 )
 
-// dead reports whether the slot is a tombstone (canceled or recycled).
-func (ev *event) dead() bool { return ev.fn == nil && ev.proc == nil }
-
-// Event is a cancelable handle to a scheduled callback, returned by
-// Schedule and After. The zero value is inert: Cancel on it is a no-op.
-type Event struct {
-	ev  *event
-	seq uint64
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 //
@@ -58,10 +46,6 @@ type Engine struct {
 	seq  uint64
 	rng  *RNG
 	seed uint64
-
-	// live is the number of scheduled events that have been neither fired
-	// nor canceled.
-	live int
 
 	// q holds the pending events (queue.go).
 	q queue
@@ -120,8 +104,8 @@ func (e *Engine) Seed() uint64 { return e.seed }
 // snapshotting mid-flight state is not supported and would fork divergent
 // copies.
 func (e *Engine) Checkpoint() (now Time, seq uint64) {
-	if e.live != 0 {
-		panic(fmt.Sprintf("sim: Checkpoint with %d pending event(s)", e.live))
+	if n := len(e.q.events); n != 0 {
+		panic(fmt.Sprintf("sim: Checkpoint with %d pending event(s)", n))
 	}
 	if n := e.liveBlocked(); n != 0 {
 		panic(fmt.Sprintf("sim: Checkpoint with %d blocked process(es)", n))
@@ -163,18 +147,15 @@ func (e *Engine) NowNS() int64 { return int64(e.now) }
 // RNG returns the engine's deterministic random number generator.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Schedule runs fn at time at (which must not be in the past). It returns
-// a handle that can be used to cancel the event.
-func (e *Engine) Schedule(at Time, fn func()) Event {
+// Schedule runs fn at time at (which must not be in the past).
+func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	if fn == nil {
 		panic("sim: schedule of nil callback")
 	}
-	ev := e.push(at)
-	ev.fn = fn
-	return Event{ev: ev, seq: ev.seq}
+	e.push(at).fn = fn
 }
 
 // scheduleWake schedules p.wake() at time at without allocating a closure.
@@ -189,51 +170,29 @@ func (e *Engine) push(at Time) *event {
 	ev := e.q.take()
 	ev.at, ev.seq = at, e.seq
 	e.seq++
-	e.live++
 	e.q.insert(ev)
 	return ev
 }
 
 // After runs fn after duration d.
-func (e *Engine) After(d Time, fn func()) Event {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	return e.Schedule(e.now+d, fn)
+	e.Schedule(e.now+d, fn)
 }
 
-// Cancel removes a scheduled event. Canceling an already-fired or
-// already-canceled event (or the zero Event) is a no-op, so Cancel is safe
-// to call twice. Cancellation is lazy: the slot stays where it is as a
-// tombstone (fn == nil) and is discarded when it surfaces, making Cancel
-// O(1) instead of the O(n) scan + O(log n) removal it replaces.
-func (e *Engine) Cancel(h Event) {
-	ev := h.ev
-	if ev == nil || ev.seq != h.seq || ev.dead() {
-		return
-	}
-	ev.fn, ev.proc = nil, nil
-	e.live--
-	// If churny callers (timeouts that almost always cancel) fill the heap
-	// with tombstones, compact rather than let them pile up unboundedly.
-	if dead := len(e.q.events) - e.live; dead > 64 && dead > e.live {
-		e.q.compact()
-	}
-}
-
-// step fires the earliest pending live event. It reports false when no
-// live events remain.
+// step fires the earliest pending event. It reports false when no events
+// remain.
 func (e *Engine) step() bool {
-	ev := e.q.peekLive()
-	if ev == nil {
+	if len(e.q.events) == 0 {
 		return false
 	}
-	e.q.popMin()
+	ev := e.q.popMin()
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
-	e.live--
 	fn, p, kind := ev.fn, ev.proc, ev.kind
 	e.q.recycle(ev)
 	switch {
@@ -266,7 +225,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.horizon = deadline
 	defer e.endDrive()
 	for {
-		ev := e.q.peekLive()
+		ev := e.q.peek()
 		if ev == nil || ev.at > deadline {
 			break
 		}
@@ -280,6 +239,3 @@ func (e *Engine) RunUntil(deadline Time) {
 // liveBlocked counts processes that are parked and not finished. It is
 // O(1): setState maintains the count.
 func (e *Engine) liveBlocked() int { return e.nBlocked }
-
-// Idle reports whether no live events are pending.
-func (e *Engine) Idle() bool { return e.live == 0 }

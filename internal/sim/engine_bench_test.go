@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // BenchmarkSchedule measures the schedule-then-fire path: N events pushed
-// and popped through the heap with no cancellations.
+// and popped through the heap.
 func BenchmarkSchedule(b *testing.B) {
 	const batch = 1024
 	e := NewEngine(1)
@@ -21,36 +21,10 @@ func BenchmarkSchedule(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkScheduleCancel measures the timer-churn pattern every ICL probe
-// loop generates: schedule a batch, cancel it all, schedule again. The
-// seed implementation's O(n) scan in Cancel makes this quadratic in the
-// batch size.
-func BenchmarkScheduleCancel(b *testing.B) {
-	const batch = 1024
-	e := NewEngine(1)
-	fn := func() {}
-	evs := make([]Event, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := e.Now()
-		for j := 0; j < batch; j++ {
-			evs[j] = e.Schedule(base+Time(j%37)+1, fn)
-		}
-		for j := 0; j < batch; j++ {
-			e.Cancel(evs[j])
-		}
-		// One live event so Run advances the clock past the tombstones.
-		e.Schedule(base+40, fn)
-		e.Run()
-	}
-}
-
 // BenchmarkHeapSchedule measures the heap under a large standing set of
 // short-to-medium delay timers (microseconds to a few milliseconds, the
 // sleep/IO range of the simulator) with steady churn: each firing
-// schedules a replacement, and every fourth timer is canceled and
-// rescheduled, the ICL probe-timeout pattern.
+// schedules a replacement.
 func BenchmarkHeapSchedule(b *testing.B) {
 	const outstanding = 8192
 	e := NewEngine(1)
@@ -62,10 +36,6 @@ func BenchmarkHeapSchedule(b *testing.B) {
 		fired++
 		e.After(delays[i&7], reschedule)
 		i++
-		if i&3 == 0 {
-			ev := e.After(delays[(i>>3)&7], reschedule)
-			e.Cancel(ev)
-		}
 	}
 	for j := 0; j < outstanding; j++ {
 		e.After(delays[j&7]+Time(j), reschedule)

@@ -34,11 +34,15 @@ func FuzzEngineOrder(f *testing.F) {
 
 // Script operations.
 const (
-	opSleep  = iota // Sleep(d)
-	opAfter         // After(d, closure that logs its fire)
-	opCancel        // cancel this process's latest After
-	opSpawn         // spawn a new process running script at +d
+	opSleep = iota // Sleep(d)
+	opAfter        // After(d, closure that logs its fire)
+	opSpawn        // spawn a new process running script at +d
 )
+
+// opOfKind maps bits 0-1 of a kind byte to a script operation. Kind 2 is
+// a second After, so spawn keeps kind 3, the value the committed inputs
+// use.
+var opOfKind = [4]int{opSleep, opAfter, opAfter, opSpawn}
 
 // maxProcs bounds the processes a scenario spawns, so scripts that spawn
 // themselves terminate.
@@ -64,7 +68,8 @@ type scenario struct {
 //
 //	flags  bit 0 unused; (flags>>1)%3+1 scripts
 //	per script: start delay, op count (%9), then per op a kind byte
-//	  (bits 0-1 the op, the rest the spawned script) and a delay byte
+//	  (bits 0-1 the op by opOfKind, the rest the spawned script) and a
+//	  delay byte
 //	driver  %4 RunUntil steps, bit 2: WaitAll; then one delay byte per step
 //
 // A delay byte is (b&63) << {0, 12, 20, 28}[b>>6]: a count of
@@ -88,7 +93,7 @@ func decodeScenario(data []byte) scenario {
 		ops := make([]scriptOp, int(next())%9)
 		for i := range ops {
 			k := next()
-			ops[i] = scriptOp{kind: int(k & 3), script: int(k>>2) % n, d: dur(next())}
+			ops[i] = scriptOp{kind: opOfKind[k&3], script: int(k>>2) % n, d: dur(next())}
 		}
 		sc.scripts = append(sc.scripts, ops)
 	}
@@ -112,7 +117,6 @@ func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 		id := len(procs)
 		procs = append(procs, e.Spawn(fmt.Sprint("p", id), delay, func(p *Proc) {
 			log = append(log, fmt.Sprintf("%d p%d", p.Now(), id))
-			var last Event
 			for _, op := range sc.scripts[script] {
 				switch op.kind {
 				case opSleep:
@@ -121,9 +125,7 @@ func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 				case opAfter:
 					c := closures
 					closures++
-					last = e.After(op.d, func() { log = append(log, fmt.Sprintf("%d c%d", e.Now(), c)) })
-				case opCancel:
-					e.Cancel(last)
+					e.After(op.d, func() { log = append(log, fmt.Sprintf("%d c%d", e.Now(), c)) })
 				case opSpawn:
 					if len(procs) < maxProcs {
 						spawn(op.script, op.d)
@@ -180,34 +182,20 @@ type modelEvent struct {
 type modelProc struct {
 	script, pc    int
 	started, done bool
-	last          uint64 // seq of the latest After; noEvent before one
 }
 
-// noEvent is a seq no event carries, like the zero Event handle.
-const noEvent = ^uint64(0)
-
-func (m *orderModel) push(at Time, proc, closure int) uint64 {
+func (m *orderModel) push(at Time, proc, closure int) {
 	ev := modelEvent{at: at, seq: m.seq, proc: proc, closure: closure}
 	m.seq++
 	i := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].at > at })
 	m.pending = append(m.pending, modelEvent{})
 	copy(m.pending[i+1:], m.pending[i:])
 	m.pending[i] = ev
-	return ev.seq
-}
-
-func (m *orderModel) cancel(seq uint64) {
-	for i, ev := range m.pending {
-		if ev.seq == seq {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 func (m *orderModel) spawn(script int, delay Time) {
 	m.push(m.now+delay, len(m.procs), 0)
-	m.procs = append(m.procs, modelProc{script: script, last: noEvent})
+	m.procs = append(m.procs, modelProc{script: script})
 }
 
 // fire runs the earliest pending event; it reports false when none is
@@ -235,10 +223,8 @@ func (m *orderModel) fire() bool {
 			m.push(m.now+op.d, id, 0)
 			return true
 		case opAfter:
-			m.procs[id].last = m.push(m.now+op.d, -1, m.closures)
+			m.push(m.now+op.d, -1, m.closures)
 			m.closures++
-		case opCancel:
-			m.cancel(m.procs[id].last)
 		case opSpawn:
 			if len(m.procs) < maxProcs {
 				m.spawn(op.script, op.d)

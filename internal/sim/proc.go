@@ -189,7 +189,7 @@ func (p *Proc) Sleep(d Time) {
 	e := p.e
 	at := e.now + d
 	if at <= e.horizon {
-		if next := e.q.peekLive(); next == nil || next.at > at {
+		if next := e.q.peek(); next == nil || next.at > at {
 			e.now = at
 			e.seq++
 			return

@@ -45,17 +45,14 @@ func (h eventHeap) siftDown(i int) {
 }
 
 // queue is the engine's pending-event queue: the heap and the
-// recycled-event free list. A canceled event stays in the heap as a
-// tombstone until it surfaces or compact drops it, so the heap holds
-// len(events) - Engine.live tombstones.
+// recycled-event free list. An event leaves the heap only by firing.
 type queue struct {
 	events eventHeap
 	free   *event // recycled-event free list
 }
 
-// recycle clears the event and puts it on the free list. Outstanding
-// handles stay inert: Cancel skips a dead event, and the next push
-// stamps a fresh seq that no outstanding handle carries.
+// recycle clears the event, dropping its callback and process, and puts
+// it on the free list.
 func (q *queue) recycle(ev *event) {
 	ev.fn, ev.proc, ev.kind = nil, nil, evWake
 	ev.next = q.free
@@ -99,34 +96,10 @@ func (q *queue) popMin() *event {
 	return ev
 }
 
-// peekLive discards tombstones at the top of the heap and returns the
-// earliest live event, or nil if none remain.
-func (q *queue) peekLive() *event {
-	for len(q.events) > 0 {
-		if ev := q.events[0]; !ev.dead() {
-			return ev
-		}
-		q.recycle(q.popMin())
+// peek returns the earliest pending event, or nil if none remain.
+func (q *queue) peek() *event {
+	if len(q.events) == 0 {
+		return nil
 	}
-	return nil
-}
-
-// compact rebuilds the heap without its tombstones.
-func (q *queue) compact() {
-	h := q.events
-	kept := h[:0]
-	for _, ev := range h {
-		if !ev.dead() {
-			kept = append(kept, ev)
-		} else {
-			q.recycle(ev)
-		}
-	}
-	for i := range h[len(kept):] {
-		h[len(kept)+i] = nil
-	}
-	q.events = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.siftDown(i)
-	}
+	return q.events[0]
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -68,89 +69,6 @@ func TestScheduleInPastPanics(t *testing.T) {
 	e.Schedule(5, func() {})
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-}
-
-func TestCancelTwiceAndStale(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	ev := e.Schedule(10, func() { fired++ })
-	e.Cancel(ev)
-	e.Cancel(ev) // double cancel: no-op
-	e.Cancel(Event{})
-	keep := e.Schedule(20, func() { fired += 10 })
-	e.Run()
-	// keep's slot may be recycled now; a stale handle must stay inert.
-	e.Cancel(keep)
-	later := e.Schedule(30, func() { fired += 100 })
-	e.Cancel(keep) // must not hit the recycled slot that later may reuse
-	e.Run()
-	_ = later
-	if fired != 110 {
-		t.Errorf("fired = %d, want 110 (canceled event dead, live events intact)", fired)
-	}
-}
-
-func TestCancelDoesNotAdvanceClock(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.Schedule(100, func() {})
-	e.Schedule(10, func() {})
-	e.Cancel(ev)
-	if e.Idle() {
-		t.Error("Idle with one live event pending")
-	}
-	e.Run()
-	if e.Now() != 10 {
-		t.Errorf("Now = %v, want 10 (tombstone at 100 must not advance the clock)", e.Now())
-	}
-	if !e.Idle() {
-		t.Error("not Idle after Run")
-	}
-}
-
-func TestRunUntilSkipsTombstonesBeyondDeadline(t *testing.T) {
-	e := NewEngine(1)
-	var fired []Time
-	e.Cancel(e.Schedule(5, func() { t.Error("canceled event fired") }))
-	e.Schedule(8, func() { fired = append(fired, 8) })
-	e.Cancel(e.Schedule(9, func() { t.Error("canceled event fired") }))
-	e.Schedule(15, func() { fired = append(fired, 15) })
-	e.RunUntil(10)
-	if !reflect.DeepEqual(fired, []Time{8}) {
-		t.Errorf("fired %v, want [8] (event at 15 is past the deadline)", fired)
-	}
-	if e.Now() != 10 {
-		t.Errorf("Now = %v, want 10", e.Now())
-	}
-}
-
-func TestCancelChurnCompacts(t *testing.T) {
-	e := NewEngine(1)
-	// Schedule-and-cancel churn far beyond the compaction threshold; the
-	// heap must not accumulate one tombstone per canceled timer.
-	for i := 0; i < 10000; i++ {
-		ev := e.Schedule(Time(1000+i), func() { t.Error("canceled event fired") })
-		e.Cancel(ev)
-	}
-	if n := len(e.q.events); n > 256 {
-		t.Errorf("heap holds %d slots after churn, want compacted (<= 256)", n)
-	}
-	done := false
-	e.Schedule(20000, func() { done = true })
-	e.Run()
-	if !done {
-		t.Error("live event lost during compaction")
-	}
-}
-
 // TestEventRecordSize pins the pooled event record: N pending timers
 // hold N records, and one more field would move each from Go's 48-byte
 // size class to its 64-byte one.
@@ -160,44 +78,20 @@ func TestEventRecordSize(t *testing.T) {
 	}
 }
 
-// TestEventSteadyStateAllocs guards the 0-alloc fast path: once the
-// event free list and heap capacity are primed, schedule/cancel and
-// schedule/fire cycles must not allocate.
+// TestEventSteadyStateAllocs guards the 0-alloc fast path: once
+// AllocsPerRun's warm-up call has primed the event free list and heap
+// capacity, schedule/fire cycles must not allocate.
 func TestEventSteadyStateAllocs(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
-	evs := make([]Event, 512)
-
-	// Prime the free list and heap capacity.
-	for r := 0; r < 4; r++ {
-		for i := range evs {
-			evs[i] = e.After(Time(1000+i*3000), fn)
-		}
-		for i := range evs {
-			e.Cancel(evs[i])
-		}
-		e.After(1, fn)
-		e.Run()
-	}
-
-	if n := testing.AllocsPerRun(100, func() {
-		for i := range evs {
-			evs[i] = e.After(Time(1000+i*3000), fn)
-		}
-		for i := range evs {
-			e.Cancel(evs[i])
-		}
-	}); n != 0 {
-		t.Fatalf("schedule/cancel path allocates %.1f per run, want 0", n)
-	}
-
-	if n := testing.AllocsPerRun(100, func() {
-		for i := range evs {
+	const n = 512
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < n; i++ {
 			e.After(Time(1000+i*3000), fn)
 		}
 		e.Run()
-	}); n != 0 {
-		t.Fatalf("schedule/fire path allocates %.1f per run, want 0", n)
+	}); allocs != 0 {
+		t.Fatalf("schedule/fire path allocates %.1f per run, want 0", allocs)
 	}
 }
 
@@ -461,6 +355,20 @@ func TestCheckpointRestore(t *testing.T) {
 		}
 	}()
 	e2.Restore(0, 0)
+}
+
+// TestCheckpointPanicsWithPendingEvent: a queued event is a quiescence
+// violation, and the panic says how many are pending.
+func TestCheckpointPanicsWithPendingEvent(t *testing.T) {
+	e := NewEngine(1)
+	e.After(10, func() {})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "1 pending event(s)") {
+			t.Errorf("Checkpoint with one queued event panicked with %q, want it to name 1 pending event(s)", msg)
+		}
+	}()
+	e.Checkpoint()
 }
 
 func TestDeterminism(t *testing.T) {
