@@ -19,10 +19,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Race gate for the worker-pool trial runner and the single-threaded
-# engine invariant beneath it.
+# Race gate for the worker-pool trial runner, the single-threaded engine
+# invariant beneath it, and the packages whose processes wake each other
+# (resources, queues, the workload generators), where a parking process
+# hands control straight to the next one on its own goroutine.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/experiments/...
+	$(GO) test -race ./internal/sim/... ./internal/experiments/... \
+		./internal/workload/... ./internal/simos/... ./internal/priorart/... \
+		./internal/disk/... ./internal/afs/...
 
 # Fuzz the engine's event order against a sorted-slice reference model,
 # and cache operation sequences against a map-based reference cache.

@@ -50,10 +50,12 @@ func BenchmarkHeapSchedule(b *testing.B) {
 	b.StopTimer()
 }
 
-// BenchmarkProcessHandoff measures the engine<->process goroutine handoff
-// (park/wake round trip) that Sleep pays when another event is due first:
-// two processes sleep in turn, so each one's wake always queues behind
-// the other's and no Sleep resumes in place.
+// BenchmarkProcessHandoff measures the process-to-process hop that Sleep
+// pays when another process's wake is due first: two processes sleep in
+// turn, so each one's wake always queues behind the other's and no Sleep
+// resumes in place. Each Sleep parks, fires the other's wake on its own
+// goroutine and hands control straight to it: one goroutine switch, with
+// no trip through the driver.
 func BenchmarkProcessHandoff(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()

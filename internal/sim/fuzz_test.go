@@ -10,10 +10,10 @@ import (
 // FuzzEngineOrder checks the engine's event order against orderModel, a
 // reference without goroutines that keeps its pending events in a sorted
 // slice. The fuzz bytes decode into a few scripted processes and a driver
-// sequence (decodeScenario). Both sides log each process resume and
-// closure fire with the clock, and each driver return with the clock and
-// every process's state; the logs, the final clock and the Checkpoint
-// sequence number must match.
+// sequence (decodeScenario). Both sides log each process resume, each
+// Acquire return and each closure fire with the clock, and each driver
+// return with the clock and every process's state; the logs, the final
+// clock and the Checkpoint sequence number must match.
 func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScenario(data)
@@ -37,12 +37,16 @@ const (
 	opSleep = iota // Sleep(d)
 	opAfter        // After(d, closure that logs its fire)
 	opSpawn        // spawn a new process running script at +d
+	opHold         // Acquire the shared capacity-1 Resource, Sleep(d), Release
 )
 
 // opOfKind maps bits 0-1 of a kind byte to a script operation. Kind 2 is
 // a second After, so spawn keeps kind 3, the value the committed inputs
-// use.
+// use. A sleep whose kind byte has bit 7 set is a hold (holdBit): every
+// sleep in the inputs committed before holds existed has kind byte 0.
 var opOfKind = [4]int{opSleep, opAfter, opAfter, opSpawn}
+
+const holdBit = 0x80
 
 // maxProcs bounds the processes a scenario spawns, so scripts that spawn
 // themselves terminate.
@@ -68,8 +72,8 @@ type scenario struct {
 //
 //	flags  bit 0 unused; (flags>>1)%3+1 scripts
 //	per script: start delay, op count (%9), then per op a kind byte
-//	  (bits 0-1 the op by opOfKind, the rest the spawned script) and a
-//	  delay byte
+//	  (bits 0-1 the op by opOfKind, the rest the spawned script; a
+//	  sleep with holdBit set is a hold) and a delay byte
 //	driver  %4 RunUntil steps, bit 2: WaitAll; then one delay byte per step
 //
 // A delay byte is (b&63) << {0, 12, 20, 28}[b>>6]: a count of
@@ -93,7 +97,11 @@ func decodeScenario(data []byte) scenario {
 		ops := make([]scriptOp, int(next())%9)
 		for i := range ops {
 			k := next()
-			ops[i] = scriptOp{kind: opOfKind[k&3], script: int(k>>2) % n, d: dur(next())}
+			op := opOfKind[k&3]
+			if op == opSleep && k&holdBit != 0 {
+				op = opHold
+			}
+			ops[i] = scriptOp{kind: op, script: int(k>>2) % n, d: dur(next())}
 		}
 		sc.scripts = append(sc.scripts, ops)
 	}
@@ -110,6 +118,7 @@ func decodeScenario(data []byte) scenario {
 // runEngineScenario runs sc on the engine.
 func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 	e := NewEngine(1)
+	res := NewResource(e, 1)
 	var procs []*Proc
 	closures := 0
 	var spawn func(script int, delay Time)
@@ -121,6 +130,12 @@ func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 				switch op.kind {
 				case opSleep:
 					p.Sleep(op.d)
+					log = append(log, fmt.Sprintf("%d p%d", p.Now(), id))
+				case opHold:
+					res.Acquire(p)
+					log = append(log, fmt.Sprintf("%d p%d+", p.Now(), id))
+					p.Sleep(op.d)
+					res.Release()
 					log = append(log, fmt.Sprintf("%d p%d", p.Now(), id))
 				case opAfter:
 					c := closures
@@ -161,7 +176,10 @@ func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 
 // orderModel is the reference engine: pending events in a slice sorted
 // by (at, seq), and processes as scripts with a program counter that run
-// inline when their event fires.
+// inline when their event fires. The shared resource is a held flag and
+// a FIFO of waiting processes: a release grants the head waiter and
+// queues its wake at now, and the waiter reads runnable until that wake
+// fires.
 type orderModel struct {
 	sc       scenario
 	now      Time
@@ -169,6 +187,8 @@ type orderModel struct {
 	pending  []modelEvent
 	procs    []modelProc
 	closures int
+	held     bool
+	waiters  []int
 	log      []string
 }
 
@@ -182,6 +202,8 @@ type modelEvent struct {
 type modelProc struct {
 	script, pc    int
 	started, done bool
+	granted       bool // a release granted the resource; its wake is pending
+	holding       bool // in a hold's Sleep; its wake releases
 }
 
 func (m *orderModel) push(at Time, proc, closure int) {
@@ -212,15 +234,32 @@ func (m *orderModel) fire() bool {
 		return true
 	}
 	id := ev.proc
+	ops := m.sc.scripts[m.procs[id].script]
+	switch {
+	case m.procs[id].granted:
+		m.procs[id].granted = false
+		m.acquired(id, ops[m.procs[id].pc-1].d)
+		return true
+	case m.procs[id].holding:
+		m.procs[id].holding = false
+		m.release()
+	}
 	m.procs[id].started = true
 	m.log = append(m.log, fmt.Sprintf("%d p%d", m.now, id))
-	ops := m.sc.scripts[m.procs[id].script]
 	for m.procs[id].pc < len(ops) {
 		op := ops[m.procs[id].pc]
 		m.procs[id].pc++
 		switch op.kind {
 		case opSleep:
 			m.push(m.now+op.d, id, 0)
+			return true
+		case opHold:
+			if m.held {
+				m.waiters = append(m.waiters, id)
+				return true
+			}
+			m.held = true
+			m.acquired(id, op.d)
 			return true
 		case opAfter:
 			m.push(m.now+op.d, -1, m.closures)
@@ -233,6 +272,27 @@ func (m *orderModel) fire() bool {
 	}
 	m.procs[id].done = true
 	return true
+}
+
+// acquired logs process id's Acquire returning and queues the wake of
+// its hold's Sleep(d).
+func (m *orderModel) acquired(id int, d Time) {
+	m.log = append(m.log, fmt.Sprintf("%d p%d+", m.now, id))
+	m.procs[id].holding = true
+	m.push(m.now+d, id, 0)
+}
+
+// release frees the resource, or hands it to the head waiter and queues
+// that waiter's wake at now.
+func (m *orderModel) release() {
+	if len(m.waiters) == 0 {
+		m.held = false
+		return
+	}
+	id := m.waiters[0]
+	m.waiters = m.waiters[1:]
+	m.procs[id].granted = true
+	m.push(m.now, id, 0)
 }
 
 // done reports whether the first n processes have finished.
@@ -253,6 +313,8 @@ func (m *orderModel) mark(driver string) {
 			states[i] = StateNew.String()
 		case p.done:
 			states[i] = StateDone.String()
+		case p.granted:
+			states[i] = StateRunnable.String()
 		default:
 			states[i] = StateBlocked.String()
 		}

@@ -9,14 +9,15 @@ import (
 
 // ProcState is a process's lifecycle state. Transitions:
 //
-//	New ──spawn event──▶ Runnable ──dispatch──▶ Running
-//	Running ──Sleep/Block──▶ Blocked ──wake/Unblock──▶ Runnable ─▶ Running
+//	New ──start event──▶ Running
+//	Running ──Sleep──▶ Blocked ──wake──▶ Running
+//	Running ──Block──▶ Blocked ──Unblock──▶ Runnable ──wake──▶ Running
 //	Running ──Compute (CPUs busy)──▶ Runnable ──dispatch──▶ Running
 //	Running ──body returns──▶ Done
 //
 // A process is Runnable between becoming eligible to run and actually
-// running: freshly spawned (start event fired, first dispatch pending),
-// unblocked (wake event queued), or waiting in a scheduler run queue.
+// running: unblocked (wake event queued) or waiting in a scheduler run
+// queue.
 type ProcState int
 
 const (
@@ -55,8 +56,9 @@ const (
 
 // Proc is a cooperative simulated process. Its body runs on a dedicated
 // goroutine, but the engine guarantees that at most one process goroutine
-// executes at a time: a process runs until it calls Sleep, Block, or
-// returns, at which point control hands back to the engine loop.
+// executes at a time: a process runs until it parks in Sleep, Block or
+// Compute, or returns, at which point control passes to the next process
+// due or back to the driver loop.
 type Proc struct {
 	e     *Engine
 	name  string
@@ -69,10 +71,14 @@ type Proc struct {
 	rqh  ring.Handle // run-queue position while queued, ring.None otherwise
 	enq  Time        // when the process joined the run queue
 
-	// resume wakes this process's goroutine. Buffered size 0: the engine
-	// blocks on the send until the goroutine is at its receive, which is
-	// exactly the handoff we want.
+	// resume wakes this process's goroutine. Buffered size 0: the sender
+	// blocks until the goroutine is at its receive, which is exactly the
+	// handoff we want.
 	resume chan struct{}
+
+	// body waits here from Spawn until the start event starts the
+	// process's goroutine (run); nil once it has started.
+	body func(p *Proc)
 
 	// track is this process's span timeline (nil when telemetry is off;
 	// the nil track's methods are no-ops).
@@ -97,32 +103,47 @@ func (p *Proc) setState(s procState) {
 // Spawn creates a process named name whose body is fn and schedules it to
 // start at delay from now. The body runs entirely on virtual time.
 func (e *Engine) Spawn(name string, delay Time, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, state: procNew, cpu: -1, resume: make(chan struct{})}
+	if delay < 0 {
+		panic("sim: negative delay")
+	}
+	if fn == nil {
+		panic("sim: spawn of nil body")
+	}
+	p := &Proc{e: e, name: name, state: procNew, cpu: -1, resume: make(chan struct{}), body: fn}
 	p.track = e.tel.NewTrack(name) // nil track when telemetry is off
-	e.spawned++
-	e.After(delay, func() {
-		p.setState(procRunnable)
-		go func() {
-			<-p.resume
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = fmt.Errorf("proc %s panicked: %v", p.name, r)
-				}
-				p.exit()
-			}()
-			fn(p)
-		}()
-		p.wake()
-	})
+	e.stats.Spawns++
+	ev := e.push(e.now + delay)
+	ev.proc, ev.kind = p, evStart
 	return p
 }
 
-// exit finishes the process and returns control to the engine loop.
-// Runs on the process goroutine, which at this point is the only one
+// run is the process's goroutine, started at its start event. It takes
+// the body out of p.body, which then marks the process as started.
+func (p *Proc) run() {
+	body := p.body
+	p.body = nil
+	defer func() {
+		if r := recover(); r != nil {
+			p.err = fmt.Errorf("proc %s panicked: %v", p.name, r)
+		}
+		p.exit()
+	}()
+	body(p)
+}
+
+// exit finishes the process and passes control on as park does, except
+// that it goes back to the driver as soon as every process the running
+// WaitAll waits for is done: WaitAll's exit test changes only here. Runs
+// on the process goroutine, which at this point is the only one
 // executing.
 func (p *Proc) exit() {
 	p.setState(procDone)
-	p.e.yield <- struct{}{}
+	e := p.e
+	if e.driving == "WaitAll" && e.waitDone() {
+		e.switchTo(nil)
+		return
+	}
+	e.switchTo(e.nextProc())
 }
 
 // Go spawns a process starting immediately.
@@ -153,25 +174,19 @@ func (p *Proc) Err() error { return p.err }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// park suspends the calling process goroutine and returns control to the
-// engine loop. The process must have arranged to be resumed (a scheduled
-// wake event, a run-queue entry, or a future Unblock); wake sets the
-// state back to running.
+// park suspends the calling process until the wake, run-queue dispatch
+// or Unblock it has arranged. It fires the process events due next
+// itself and hands control straight to the process they resume: no
+// goroutine switch when that is the caller, one otherwise, to that
+// process or, when no process event is due, to the driver.
 func (p *Proc) park() {
-	p.e.yield <- struct{}{}
-	<-p.resume
-}
-
-// wake transfers control from the engine loop into the process goroutine
-// and waits for it to park again (or exit). Must only be called from event
-// context.
-func (p *Proc) wake() {
-	if p.state == procDone {
+	e := p.e
+	next := e.nextProc()
+	if next == p {
 		return
 	}
-	p.setState(procRunning)
-	p.resume <- struct{}{}
-	<-p.e.yield
+	e.switchTo(next)
+	<-p.resume
 }
 
 // Sleep advances this process's virtual time by d, letting other events
@@ -195,6 +210,7 @@ func (p *Proc) Sleep(d Time) {
 			return
 		}
 	}
+	e.stats.SleepParks++
 	p.setState(procBlocked)
 	e.scheduleWake(at, p)
 	p.park()
@@ -202,6 +218,7 @@ func (p *Proc) Sleep(d Time) {
 
 // Block parks the process until another party calls Unblock on it.
 func (p *Proc) Block() {
+	p.e.stats.BlockParks++
 	p.setState(procBlocked)
 	p.park()
 }
@@ -221,24 +238,26 @@ func (e *Engine) Unblock(p *Proc) {
 }
 
 // WaitAll runs the engine until every listed process has finished. It
-// panics on simulation deadlock. Its exit test cannot change while a
-// process sleeps in place, since only a running process can finish.
+// panics on simulation deadlock. Its exit test can change only when a
+// process exits, so control comes back to it from the exit that
+// finishes the last listed process (Proc.exit).
 func (e *Engine) WaitAll(ps ...*Proc) {
-	e.horizon = maxTime
+	e.beginDrive("WaitAll", maxTime)
 	defer e.endDrive()
-	for {
-		done := true
-		for _, p := range ps {
-			if p.state != procDone {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
+	e.waits = ps
+	for !e.waitDone() {
 		if !e.step() {
 			panic(fmt.Sprintf("sim: WaitAll deadlock at %v", e.now))
 		}
 	}
+}
+
+// waitDone reports whether every process the running WaitAll waits for
+// has finished. It drops the finished prefix of e.waits as it goes,
+// since a finished process stays finished.
+func (e *Engine) waitDone() bool {
+	for len(e.waits) > 0 && e.waits[0].state == procDone {
+		e.waits = e.waits[1:]
+	}
+	return len(e.waits) == 0
 }

@@ -29,9 +29,10 @@ import (
 //     switch charged, so a lone computing process runs for exactly its
 //     requested burst in one stretch.
 //
-// All scheduler bookkeeping runs inside the engine's single-threaded
-// event loop; timeslices are pool events (kind evSlice), so the steady
-// state allocates nothing.
+// All scheduler bookkeeping runs in event context, on whichever
+// goroutine holds control (the driver's, or a parking process's); slice
+// expiries are pool events (kind evSlice), so the steady state allocates
+// nothing.
 
 // DefaultQuantum is the round-robin timeslice when SetCPUs is given a
 // non-positive quantum — 10ms, the classic 100 Hz kernel tick.
@@ -64,7 +65,7 @@ type scheduler struct {
 // before any process is spawned — scheduling state cannot change under
 // running processes.
 func (e *Engine) SetCPUs(n int, quantum Time) {
-	if e.spawned != 0 {
+	if e.stats.Spawns != 0 {
 		panic("sim: SetCPUs after processes have spawned")
 	}
 	if n <= 0 {
@@ -204,10 +205,10 @@ func (e *Engine) armSlice(p *Proc) {
 
 // sliceFire handles a timeslice expiry for p (event context). The
 // elapsed slice is charged against the burst; a finished process frees
-// its CPU (dispatching the next waiter) and resumes, an unfinished one
-// either keeps the CPU (empty queue) or rotates to the back of the
-// scheduler, round-robin.
-func (e *Engine) sliceFire(p *Proc) {
+// its CPU (dispatching the next waiter) and is returned, to resume; an
+// unfinished one either keeps the CPU (empty queue) or rotates to the
+// back of the scheduler, round-robin, and sliceFire returns nil.
+func (e *Engine) sliceFire(p *Proc) *Proc {
 	s := e.sched
 	c := &s.cpus[p.cpu]
 	run := p.left
@@ -218,17 +219,17 @@ func (e *Engine) sliceFire(p *Proc) {
 	if p.left == 0 {
 		c.cur, p.cpu = nil, -1
 		s.dispatch(e, c)
-		p.wake()
-		return
+		return p
 	}
 	if c.runq.Len() == 0 {
 		// Uncontended: keep the CPU. Not a context switch.
 		e.armSlice(p)
-		return
+		return nil
 	}
 	c.cur, p.cpu = nil, -1
 	s.dispatch(e, c)
 	s.submit(e, p)
+	return nil
 }
 
 // Compute charges d of CPU time to this process. With no CPUs
@@ -248,6 +249,7 @@ func (p *Proc) Compute(d Time) {
 		p.Sleep(d)
 		return
 	}
+	p.e.stats.ComputeParks++
 	p.left = d
 	p.e.sched.submit(p.e, p)
 	p.park()

@@ -9,9 +9,9 @@ import (
 
 // TestProcStateLifecycle walks one process through every lifecycle state
 // and checks State() at each observable point. Transitions under test:
-// New (spawned, start event pending) -> Runnable (start fired) ->
-// Running (dispatched) -> Blocked (Sleep/Block) -> Runnable (Unblock) ->
-// Done.
+// New (spawned, start event pending) -> Running (start fired) ->
+// Blocked (Sleep/Block) -> Runnable (Unblock) -> Done. The scheduler's
+// Runnable (queued for a CPU) is TestSchedulerRunnableState's.
 func TestProcStateLifecycle(t *testing.T) {
 	e := NewEngine(1)
 	var insideBody ProcState
@@ -73,8 +73,8 @@ func TestSpawnExitArenaReuse(t *testing.T) {
 		}
 		e.WaitAll(ps...)
 	}
-	if e.spawned != waves*perWave {
-		t.Errorf("spawned = %d, want %d", e.spawned, waves*perWave)
+	if n := e.Stats().Spawns; n != waves*perWave {
+		t.Errorf("Stats().Spawns = %d, want %d", n, waves*perWave)
 	}
 }
 

@@ -317,6 +317,169 @@ func TestWaitAll(t *testing.T) {
 	}
 }
 
+// TestWaitAllNoProcs: with nothing to wait for, WaitAll returns before
+// firing anything, so the clock stays put.
+func TestWaitAllNoProcs(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("p", func(p *Proc) { p.Sleep(10) })
+	e.After(5, func() {})
+	e.WaitAll()
+	if n := e.Stats().Events; n != 0 || e.Now() != 0 {
+		t.Fatalf("WaitAll() fired %d event(s) and moved the clock to %v, want 0 and 0", n, e.Now())
+	}
+	e.Run()
+}
+
+// TestSpawnBadArgsPanic: a negative delay or a nil body panics at the
+// Spawn call, before the process is counted.
+func TestSpawnBadArgsPanic(t *testing.T) {
+	for _, c := range []struct {
+		delay Time
+		body  func(*Proc)
+		want  string
+	}{
+		{-1, func(*Proc) {}, "sim: negative delay"},
+		{0, nil, "sim: spawn of nil body"},
+	} {
+		e := NewEngine(1)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != c.want {
+					t.Errorf("Spawn(%v, body) panicked with %q, want %q", c.delay, msg, c.want)
+				}
+			}()
+			e.Spawn("p", c.delay, c.body)
+		}()
+		if s := e.Stats(); s.Spawns != 0 || len(e.q.events) != 0 {
+			t.Errorf("failed Spawn counted %d spawn(s) and queued %d event(s), want 0 and 0", s.Spawns, len(e.q.events))
+		}
+	}
+}
+
+// TestClosurePanicReachesDriverCaller: closures fire only on the driver's
+// goroutine. One that panics while processes are parked, with process
+// events fired before it on process goroutines and others due after it,
+// panics out of Run and fails no process.
+func TestClosurePanicReachesDriverCaller(t *testing.T) {
+	e := NewEngine(1)
+	a := e.Go("a", func(p *Proc) { p.Sleep(5); p.Sleep(10) })
+	b := e.Go("b", func(p *Proc) { p.Sleep(20) })
+	e.After(10, func() { panic("boom") })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("Run panicked with %v, want boom", r)
+			}
+		}()
+		e.Run()
+	}()
+	if a.Err() != nil || b.Err() != nil {
+		t.Errorf("process errors %v and %v, want none", a.Err(), b.Err())
+	}
+	if e.Now() != 10 || a.State() != StateBlocked || b.State() != StateBlocked {
+		t.Errorf("after the panic: Now = %v, states %v and %v; want 10, blocked and blocked", e.Now(), a.State(), b.State())
+	}
+}
+
+// TestDriverReentryPanics: Run, RunUntil and WaitAll do not nest. A
+// call from a process body fails that process with a message, and the
+// outer driver runs on unharmed: its horizon still lets a later sleeper
+// resume in place. A call from a closure panics out of the outer driver.
+func TestDriverReentryPanics(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(e *Engine)
+	}{
+		{"Run", func(e *Engine) { e.Run() }},
+		{"RunUntil", func(e *Engine) { e.RunUntil(100) }},
+		{"WaitAll", func(e *Engine) { e.WaitAll() }},
+	}
+	for _, c := range calls {
+		e := NewEngine(1)
+		p := e.Go("p", func(p *Proc) { c.call(p.Engine()) })
+		q := e.Spawn("q", 1, func(p *Proc) { p.Sleep(1); p.Sleep(1) })
+		e.Run()
+		want := "sim: " + c.name + " called inside a running Run"
+		if p.Err() == nil || !strings.Contains(p.Err().Error(), want) {
+			t.Errorf("%s from a process body: Err() = %v, want it to contain %q", c.name, p.Err(), want)
+		}
+		if q.Err() != nil || !q.Done() || e.Now() != 3 {
+			t.Errorf("%s from a process body: q done %v, err %v, Now %v; want true, nil, 3", c.name, q.Done(), q.Err(), e.Now())
+		}
+		if n := e.Stats().SleepsInPlace; n != 2 {
+			t.Errorf("%s from a process body: %d sleeps resumed in place, want 2", c.name, n)
+		}
+
+		e = NewEngine(1)
+		e.After(1, func() { c.call(e) })
+		func() {
+			defer func() {
+				want := "sim: " + c.name + " called inside a running RunUntil"
+				if msg, _ := recover().(string); msg != want {
+					t.Errorf("%s from a closure: RunUntil panicked with %q, want %q", c.name, msg, want)
+				}
+			}()
+			e.RunUntil(10)
+		}()
+		e.Run() // the failed RunUntil ended its drive
+	}
+}
+
+// TestEngineStats pins the work counters in three cases.
+func TestEngineStats(t *testing.T) {
+	sleeper := func(n int) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		}
+	}
+	t.Run("lone sleeper", func(t *testing.T) {
+		// Every sleep resumes in place. The only switches are the
+		// driver starting the process and its exit handing back.
+		e := NewEngine(1)
+		e.Go("a", sleeper(10))
+		e.Run()
+		want := Stats{Events: 1, SleepsInPlace: 10, Spawns: 1, GoroutineSwitches: 2}
+		if got := e.Stats(); got != want {
+			t.Errorf("Stats() = %+v, want %+v", got, want)
+		}
+	})
+	t.Run("two sleepers in turn", func(t *testing.T) {
+		// Each wake queues behind the other's, so all 10 sleeps park,
+		// each with one switch straight to the other process. The three
+		// others: the driver starts a, a's exit hands to b, and b's
+		// exit hands back.
+		e := NewEngine(1)
+		e.Go("a", sleeper(5))
+		e.Go("b", sleeper(5))
+		e.Run()
+		want := Stats{Events: 12, SleepParks: 10, Spawns: 2, GoroutineSwitches: 13}
+		if got := e.Stats(); got != want {
+			t.Errorf("Stats() = %+v, want %+v", got, want)
+		}
+	})
+	t.Run("wake after a slice expiry", func(t *testing.T) {
+		// w computes alone on the CPU, its slice expiring every 1ms; s
+		// sleeps 1.5ms. s's park fires w's slice expiry at 1ms (which
+		// keeps w on the CPU) and then s's own wake, so s resumes with
+		// no switch. Switches: driver to w, w's park starting s, s's
+		// exit to w (after w's last slice), w's exit to the driver.
+		e := NewEngine(1)
+		e.SetCPUs(1, Millisecond)
+		e.Go("w", func(p *Proc) { p.Compute(3 * Millisecond) })
+		e.Go("s", func(p *Proc) { p.Sleep(1500 * Microsecond) })
+		e.Run()
+		want := Stats{Events: 6, SleepParks: 1, ComputeParks: 1, Spawns: 2, GoroutineSwitches: 4}
+		if got := e.Stats(); got != want {
+			t.Errorf("Stats() = %+v, want %+v", got, want)
+		}
+		if n := e.ContextSwitches(); n != 0 {
+			t.Errorf("ContextSwitches = %d, want 0", n)
+		}
+	})
+}
+
 // TestCheckpointRestore exercises the snapshot hooks: a quiescent
 // engine checkpoints, a fresh engine restores, and scheduling continues
 // the (at, seq) sequence.
@@ -347,6 +510,11 @@ func TestCheckpointRestore(t *testing.T) {
 	e2.Run()
 	if !fired {
 		t.Fatal("restored engine did not fire")
+	}
+	e2.Go("p", func(p *Proc) { p.Sleep(1); p.Sleep(1) })
+	e2.Run()
+	if s := e2.Stats(); s.Events != 2 || s.SleepsInPlace != 2 {
+		t.Fatalf("restored engine: %d events and %d sleeps in place, want 2 and 2", s.Events, s.SleepsInPlace)
 	}
 
 	defer func() {
