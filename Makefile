@@ -29,15 +29,18 @@ race:
 		./internal/disk/... ./internal/afs/...
 
 # Fuzz the engine's event order against a sorted-slice reference model,
-# and cache operation sequences against a map-based reference cache.
+# cache operation sequences against a map-based reference cache, and
+# file system operation sequences against a model of its allocators.
 # Plain `go test` runs only the committed seed corpora
 # (testdata/fuzz/FuzzEngineOrder in internal/sim, testdata/fuzz/FuzzCacheOps
-# in internal/cache). Minimizing each new input is capped at 1 s: CI
-# keeps no fuzz corpus between runs, so minimizing only spends the
-# budget, and uncapped it stalls the search for seconds at a time.
+# in internal/cache, testdata/fuzz/FuzzFSOps in internal/fs). Minimizing
+# each new input is capped at 1 s: CI keeps no fuzz corpus between runs,
+# so minimizing only spends the budget, and uncapped it stalls the
+# search for seconds at a time.
 fuzz:
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/cache -run NONE -fuzz FuzzCacheOps -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/fs -run NONE -fuzz FuzzFSOps -fuzztime 30s -fuzzminimizetime 1s
 
 vet:
 	$(GO) vet ./...

@@ -16,6 +16,7 @@ package fs
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -100,6 +101,10 @@ func newDir(group int) *dir {
 	return &dir{group: group, entries: make(map[string]Ino), subdirs: make(map[string]*dir)}
 }
 
+// A group's block bitmap stays nil, meaning every block is free, until
+// the group first allocates a block, and its inode map until it first
+// allocates an inode: a file system touches few of its groups, and
+// every fork builds a fresh file system.
 type group struct {
 	id         int
 	inodeStart int64 // disk block of the inode table
@@ -108,9 +113,9 @@ type group struct {
 	dataBlocks int64
 	used       []uint64 // data-block bitmap from dataStart; a set bit is in use
 	nfree      int64
-	rotor      int64 // next-fit allocation position (FFS-style)
-	inodeUsed  []bool
-	inodeFree  int
+	rotor      int64    // next-fit allocation position (FFS-style)
+	inodeMap   []uint64 // inode bitmap; a set bit is in use
+	inodesUsed int
 }
 
 // FS is the simulated file system.
@@ -121,7 +126,7 @@ type FS struct {
 	cfg Config
 
 	pageSize     int
-	groups       []*group
+	groups       []group
 	inodes       map[Ino]*Inode
 	root         *dir
 	lfsRotor     int64
@@ -155,19 +160,18 @@ func New(e *sim.Engine, d *disk.Disk, c *cache.Cache, cfg Config) *FS {
 		root:     newDir(0),
 	}
 	inodeBlks := int64((cfg.InodesPerGroup + inodesPerBlock - 1) / inodesPerBlock)
-	for g := 0; g < ngroups; g++ {
+	fs.groups = make([]group, ngroups)
+	for g := range fs.groups {
 		start := int64(g) * blocksPerGroup
 		dataBlocks := blocksPerGroup - inodeBlks
-		fs.groups = append(fs.groups, &group{
+		fs.groups[g] = group{
 			id:         g,
 			inodeStart: start,
 			inodeBlks:  inodeBlks,
 			dataStart:  start + inodeBlks,
 			dataBlocks: dataBlocks,
-			used:       make([]uint64, (dataBlocks+63)/64),
 			nfree:      dataBlocks,
-			inodeUsed:  make([]bool, cfg.InodesPerGroup),
-		})
+		}
 	}
 	return fs
 }
@@ -252,17 +256,23 @@ func (fs *FS) inodeBlock(ino Ino) (int64, cache.PageID) {
 
 // allocInode takes the lowest free inode in group g (spilling to later
 // groups when full), giving ascending i-numbers for successive creations.
+// The lowest free bit of a group that is not full lies below
+// InodesPerGroup, so the unused tail of the last word is never taken.
 func (fs *FS) allocInode(g int) (Ino, error) {
 	for off := 0; off < len(fs.groups); off++ {
-		gr := fs.groups[(g+off)%len(fs.groups)]
-		if gr.inodeFree >= fs.cfg.InodesPerGroup {
+		gr := &fs.groups[(g+off)%len(fs.groups)]
+		if gr.inodesUsed >= fs.cfg.InodesPerGroup {
 			continue
 		}
-		for i, used := range gr.inodeUsed {
-			if !used {
-				gr.inodeUsed[i] = true
-				gr.inodeFree++
-				return fs.inoOf(gr.id, i), nil
+		if gr.inodeMap == nil {
+			gr.inodeMap = make([]uint64, (fs.cfg.InodesPerGroup+63)/64)
+		}
+		for w, word := range gr.inodeMap {
+			if word != ^uint64(0) {
+				bit := bits.TrailingZeros64(^word)
+				gr.inodeMap[w] |= 1 << bit
+				gr.inodesUsed++
+				return fs.inoOf(gr.id, w*64+bit), nil
 			}
 		}
 	}
@@ -271,21 +281,24 @@ func (fs *FS) allocInode(g int) (Ino, error) {
 
 func (fs *FS) freeInode(ino Ino) {
 	g, idx := fs.groupOfIno(ino)
-	gr := fs.groups[g]
-	if !gr.inodeUsed[idx] {
+	gr := &fs.groups[g]
+	if gr.inodeMap == nil || gr.inodeMap[idx>>6]&(1<<(idx&63)) == 0 {
 		panic(fmt.Sprintf("fs: double free of inode %d", ino))
 	}
-	gr.inodeUsed[idx] = false
-	gr.inodeFree--
+	gr.inodeMap[idx>>6] &^= 1 << (idx & 63)
+	gr.inodesUsed--
 }
 
 // --- block allocation ---
 
 // isFree reports whether data block idx of the group is free.
-func (gr *group) isFree(idx int64) bool { return gr.used[idx>>6]&(1<<(idx&63)) == 0 }
+func (gr *group) isFree(idx int64) bool { return gr.used == nil || gr.used[idx>>6]&(1<<(idx&63)) == 0 }
 
 // take marks free data block idx in use.
 func (gr *group) take(idx int64) {
+	if gr.used == nil {
+		gr.used = make([]uint64, (gr.dataBlocks+63)/64)
+	}
 	gr.used[idx>>6] |= 1 << (idx & 63)
 	gr.nfree--
 }
@@ -305,8 +318,8 @@ func (fs *FS) allocBlocks(g int, n int64) ([]int64, error) {
 	switch fs.cfg.Alloc {
 	case AllocLFS:
 		total := int64(0)
-		for _, gr := range fs.groups {
-			total += gr.nfree
+		for i := range fs.groups {
+			total += fs.groups[i].nfree
 		}
 		if total < n {
 			return nil, fmt.Errorf("fs: out of space")
@@ -328,7 +341,7 @@ func (fs *FS) allocBlocks(g int, n int64) ([]int64, error) {
 		// what decouples reused i-numbers from reused holes as the file
 		// system ages.
 		for off := 0; off < len(fs.groups) && int64(len(out)) < n; off++ {
-			gr := fs.groups[(g+off)%len(fs.groups)]
+			gr := &fs.groups[(g+off)%len(fs.groups)]
 			if gr.nfree == 0 {
 				continue
 			}
@@ -351,7 +364,8 @@ func (fs *FS) allocBlocks(g int, n int64) ([]int64, error) {
 }
 
 func (fs *FS) groupForBlock(blk int64) (*group, int64) {
-	for _, gr := range fs.groups {
+	for i := range fs.groups {
+		gr := &fs.groups[i]
 		if blk >= gr.dataStart && blk < gr.dataStart+gr.dataBlocks {
 			return gr, blk - gr.dataStart
 		}
@@ -375,8 +389,8 @@ func (fs *FS) freeBlocks(blocks []int64) {
 // FreeSpace returns the number of free data blocks.
 func (fs *FS) FreeSpace() int64 {
 	var n int64
-	for _, gr := range fs.groups {
-		n += gr.nfree
+	for i := range fs.groups {
+		n += fs.groups[i].nfree
 	}
 	return n
 }

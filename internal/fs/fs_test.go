@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +178,7 @@ func TestAllocateEveryBlock(t *testing.T) {
 		if len(f.groups) != 4 || f.groups[0].dataBlocks%64 == 0 {
 			t.Fatalf("geometry: %d groups of %d data blocks, want 4 ending mid-word", len(f.groups), f.groups[0].dataBlocks)
 		}
+		mustPanic(t, "freeing a block of a group that never allocated", func() { f.freeBlocks([]int64{f.groups[2].dataStart}) })
 		free := f.FreeSpace()
 		blocks, err := f.allocBlocks(1, free)
 		if err != nil {
@@ -204,7 +206,89 @@ func TestAllocateEveryBlock(t *testing.T) {
 		if f.FreeSpace() != free {
 			t.Errorf("policy %d: FreeSpace = %d after freeing everything, want %d", policy, f.FreeSpace(), free)
 		}
+		mustPanic(t, "freeing a block twice", func() { f.freeBlocks(blocks[:1]) })
 	}
+}
+
+// TestAllocateEveryInode fills every group's inode map through the
+// allocator and empties it again. A group holds 100 inodes, so its map
+// ends mid-word, and the lowest-free scan must never hand out the
+// word's unused tail.
+func TestAllocateEveryInode(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.InodesPerGroup = 100
+	dp := disk.DefaultParams()
+	dp.Cylinders = 4 * cfg.GroupCylinders
+	pool := mem.NewPool(e, 64)
+	f := New(e, disk.New(e, dp), cache.New(e, cache.Config{}, cache.NewClock(), pool), cfg)
+	mustPanic(t, "freeing an inode of a group that never allocated", func() { f.freeInode(f.inoOf(3, 0)) })
+	total := Ino(len(f.groups) * cfg.InodesPerGroup)
+	for want := Ino(1); want <= total; want++ {
+		if ino, err := f.allocInode(0); err != nil || ino != want {
+			t.Fatalf("allocation %d: got i-number %d (%v), want %d", want, ino, err, want)
+		}
+	}
+	if _, err := f.allocInode(2); err == nil || !strings.Contains(err.Error(), "out of inodes") {
+		t.Fatalf("allocating with every inode in use: err %v, want out of inodes", err)
+	}
+	for ino := Ino(1); ino <= total; ino++ {
+		f.freeInode(ino)
+	}
+	for _, gr := range f.groups {
+		if gr.inodesUsed != 0 || popcount(gr.inodeMap) != 0 {
+			t.Fatalf("group %d: %d inodes counted, %d in its map after freeing every inode", gr.id, gr.inodesUsed, popcount(gr.inodeMap))
+		}
+	}
+	mustPanic(t, "freeing an inode twice", func() { f.freeInode(total) })
+}
+
+// TestBitmapsBuiltOnFirstUse pins when a group's bitmaps exist: New and
+// a Restore of an empty snapshot build none, a group's first file builds
+// both of that group's and no other's, and Restore copies the built ones.
+func TestBitmapsBuiltOnFirstUse(t *testing.T) {
+	w := newWorld(t)
+	fresh := func() *FS {
+		pool := mem.NewPool(w.e, 64)
+		return New(w.e, disk.New(w.e, disk.DefaultParams()), cache.New(w.e, cache.Config{}, cache.NewClock(), pool), DefaultConfig())
+	}
+	built := func(what string, f *FS, want ...int) {
+		t.Helper()
+		for _, gr := range f.groups {
+			has := gr.id < len(want) && want[gr.id] == 1
+			if (gr.used != nil) != has || (gr.inodeMap != nil) != has {
+				t.Fatalf("%s: group %d has block bitmap %v and inode map %v, want %v", what, gr.id, gr.used != nil, gr.inodeMap != nil, has)
+			}
+		}
+	}
+	built("New", w.fs)
+	empty := fresh()
+	empty.Restore(w.fs.Snapshot())
+	built("Restore of an empty snapshot", empty)
+
+	if err := w.fs.Mkdir(nil, "d"); err != nil { // the directory lands in group 1
+		t.Fatal(err)
+	}
+	if _, err := w.fs.CreateSized("d/f", 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	built("after the first file", w.fs, 0, 1)
+	cp := fresh()
+	cp.Restore(w.fs.Snapshot())
+	built("Restore", cp, 0, 1)
+	if &cp.groups[1].used[0] == &w.fs.groups[1].used[0] || &cp.groups[1].inodeMap[0] == &w.fs.groups[1].inodeMap[0] {
+		t.Fatal("Restore shares a bitmap with the file system the snapshot was taken from")
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 func TestReadChargesDiskThenCache(t *testing.T) {

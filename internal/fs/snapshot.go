@@ -1,5 +1,7 @@
 package fs
 
+import "slices"
+
 // Snapshot is a deep copy of a file system's metadata state — allocation
 // bitmaps, inodes, the directory tree, and the allocator rotors — taken
 // with FS.Snapshot and restored into a freshly built FS with FS.Restore.
@@ -15,12 +17,13 @@ type Snapshot struct {
 
 // groupState is the mutable part of a cylinder group; the geometry
 // (inodeStart, dataStart, ...) is derived from Config and rebuilt by New.
+// A bitmap the group never built stays nil here too.
 type groupState struct {
-	used      []uint64
-	nfree     int64
-	rotor     int64
-	inodeUsed []bool
-	inodeFree int
+	used       []uint64
+	nfree      int64
+	rotor      int64
+	inodeMap   []uint64
+	inodesUsed int
 }
 
 func cloneDir(d *dir) *dir {
@@ -50,13 +53,14 @@ func (fs *FS) Snapshot() *Snapshot {
 		nextDirGroup: fs.nextDirGroup,
 		statCalls:    fs.StatCalls,
 	}
-	for i, gr := range fs.groups {
+	for i := range fs.groups {
+		gr := &fs.groups[i]
 		s.groups[i] = groupState{
-			used:      append([]uint64(nil), gr.used...),
-			nfree:     gr.nfree,
-			rotor:     gr.rotor,
-			inodeUsed: append([]bool(nil), gr.inodeUsed...),
-			inodeFree: gr.inodeFree,
+			used:       slices.Clone(gr.used),
+			nfree:      gr.nfree,
+			rotor:      gr.rotor,
+			inodeMap:   slices.Clone(gr.inodeMap),
+			inodesUsed: gr.inodesUsed,
 		}
 	}
 	for ino, in := range fs.inodes {
@@ -66,7 +70,9 @@ func (fs *FS) Snapshot() *Snapshot {
 }
 
 // Restore fills a freshly built, empty file system (same disk geometry
-// and Config as the snapshot's source) from s.
+// and Config as the snapshot's source) from s. It copies the bitmaps of
+// the groups that have them and leaves the rest nil, so forks share no
+// bitmap with s or with each other.
 func (fs *FS) Restore(s *Snapshot) {
 	if len(fs.inodes) != 0 || len(fs.root.entries) != 0 || len(fs.root.subdirs) != 0 {
 		panic("fs: Restore into a non-empty file system")
@@ -75,12 +81,12 @@ func (fs *FS) Restore(s *Snapshot) {
 		panic("fs: Restore geometry mismatch")
 	}
 	for i, gs := range s.groups {
-		gr := fs.groups[i]
-		copy(gr.used, gs.used)
+		gr := &fs.groups[i]
+		gr.used = slices.Clone(gs.used)
 		gr.nfree = gs.nfree
 		gr.rotor = gs.rotor
-		copy(gr.inodeUsed, gs.inodeUsed)
-		gr.inodeFree = gs.inodeFree
+		gr.inodeMap = slices.Clone(gs.inodeMap)
+		gr.inodesUsed = gs.inodesUsed
 	}
 	for ino, in := range s.inodes {
 		fs.inodes[ino] = cloneInode(in)

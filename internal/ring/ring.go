@@ -57,6 +57,14 @@ func (l *List[T]) alloc(v T) int32 {
 		l.nodes[i].val = v
 		return i
 	}
+	if len(l.nodes) == cap(l.nodes) {
+		// Double the arena: append grows a large slice by about a
+		// quarter at a time, so a ring that reached N nodes would have
+		// allocated about 4N along the way. Growing with make and
+		// append, rather than slices.Grow, keeps alloc small enough to
+		// inline into the push methods.
+		l.nodes = append(make([]node[T], 0, 2*len(l.nodes)+2), l.nodes...)
+	}
 	if len(l.nodes) == 0 {
 		// First use: materialize the sentinel (self-linked).
 		l.nodes = append(l.nodes, node[T]{})

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"graybox/internal/disk"
+	"graybox/internal/fs"
 	"graybox/internal/sim"
 )
 
@@ -91,6 +93,139 @@ func TestForkIndependence(t *testing.T) {
 	after := exercise(snap.Fork(2), 2)
 	if before != after {
 		t.Fatal("running one fork perturbed a sibling fork")
+	}
+}
+
+// TestForkWritesStayPrivate checks that a fork which writes keeps its
+// file system to itself. One fork creates, extends and unlinks files,
+// taking blocks and inodes both in cylinder groups the snapshot holds
+// and in groups it never touched. A sibling fork made before it ran, and
+// a fork made after, must then match a fork measured before it ran.
+func TestForkWritesStayPrivate(t *testing.T) {
+	base := buildAged(Linux22, 0)
+	snap := base.Snapshot()
+	ref, sibling, writer := snap.Fork(2), snap.Fork(2), snap.Fork(1)
+	want := forkState(ref)
+
+	err := writer.Run("writer", func(o *OS) {
+		for _, dir := range []string{"w1", "w2", "w3"} { // groups 1, 2 and 3
+			if err := o.Mkdir(dir); err != nil {
+				panic(err)
+			}
+		}
+		for i, path := range []string{"new.0", "new.1", "w1/a", "w3/a", "w3/b"} {
+			fd, err := o.Create(path)
+			if err != nil {
+				panic(err)
+			}
+			if err := fd.Write(0, int64(i+1)*256*1024); err != nil {
+				panic(err)
+			}
+		}
+		fd, err := o.Open("w3/a")
+		if err != nil {
+			panic(err)
+		}
+		if err := fd.Write(fd.Size(), 512*1024); err != nil {
+			panic(err)
+		}
+		for _, path := range []string{"new.1", "w3/b", "aged.0"} {
+			if err := o.Unlink(path); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged, err := base.FS(0).Readdir(nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapBlocks, snapInodes := groupsHeld(base.FS(0), aged)
+	newBlocks, newInodes := groupsHeld(writer.FS(0), []string{"new.0", "w1/a", "w3/a"})
+	for _, held := range []struct {
+		what      string
+		snap, new map[int]bool
+	}{{"blocks", snapBlocks, newBlocks}, {"inodes", snapInodes, newInodes}} {
+		var shared, fresh bool
+		for g := range held.new {
+			shared = shared || held.snap[g]
+			fresh = fresh || !held.snap[g]
+		}
+		if !shared || !fresh {
+			t.Fatalf("the writer's %s lie in groups %v, the snapshot's in %v; want some in each and some outside", held.what, held.new, held.snap)
+		}
+	}
+
+	if got := forkState(sibling); got != want {
+		t.Fatalf("a write to one fork reached its sibling\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if got := forkState(snap.Fork(2)); got != want {
+		t.Fatalf("a write to one fork reached the snapshot\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// forkState reports a fork's free space and exercise transcript, then
+// what its allocator hands out next: the i-number and blocks of a file
+// created in the root's group and in a group no file has used.
+func forkState(s *System) string {
+	f := s.FS(0)
+	out := fmt.Sprintf("free=%d\n", f.FreeSpace()) + exercise(s, 2)
+	for _, dir := range []string{"n1", "n2", "n3"} {
+		if err := f.Mkdir(nil, dir); err != nil {
+			panic(err)
+		}
+	}
+	for _, path := range []string{"next", "n3/next"} {
+		if _, err := f.CreateSized(path, MB); err != nil {
+			panic(err)
+		}
+		ino, _ := f.InoOf(path)
+		blocks, _ := f.BlocksOf(path)
+		out += fmt.Sprintf("%s: ino=%d blocks=%d..%d\n", path, ino, blocks[0], blocks[len(blocks)-1])
+	}
+	return out
+}
+
+// groupsHeld returns the cylinder groups holding the blocks and the
+// inodes of paths in f, a file system of the default geometry.
+func groupsHeld(f *fs.FS, paths []string) (blocks, inodes map[int]bool) {
+	cfg, dp := fs.DefaultConfig(), disk.DefaultParams()
+	perGroup := int64(dp.BlocksPerTrack * dp.TracksPerCyl * cfg.GroupCylinders)
+	blocks, inodes = map[int]bool{}, map[int]bool{}
+	for _, path := range paths {
+		ino, err := f.InoOf(path)
+		if err != nil {
+			panic(err)
+		}
+		inodes[int(ino-1)/cfg.InodesPerGroup] = true
+		bs, _ := f.BlocksOf(path)
+		for _, b := range bs {
+			blocks[int(b/perGroup)] = true
+		}
+	}
+	return blocks, inodes
+}
+
+// BenchmarkFork measures one Fork, and what it allocates, of a bare
+// default Linux 2.2 machine and of buildAged's machine.
+func BenchmarkFork(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		build func() *System
+	}{
+		{"bare", func() *System { return New(Config{Personality: Linux22}) }},
+		{"aged", func() *System { return buildAged(Linux22, 0) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			snap := bc.build().Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap.Fork(uint64(i))
+			}
+		})
 	}
 }
 

@@ -2,9 +2,19 @@ package vm
 
 import (
 	"testing"
+	"unsafe"
 
 	"graybox/internal/sim"
 )
+
+// TestPageStateSize pins the per-page record: an address space of N
+// pages holds N of them, so a field added here grows every anonymous
+// region.
+func TestPageStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(pageState{}); size != 8 {
+		t.Errorf("pageState is %d bytes, want 8", size)
+	}
+}
 
 // TestTouchResidentAllocs is the CI tripwire for the MAC probe loop's
 // hottest path: touching a resident page (clock relink + wake event)

@@ -17,6 +17,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"graybox/internal/disk"
 	"graybox/internal/mem"
@@ -44,13 +45,17 @@ func DefaultConfig() Config {
 // RegionID names an allocation within an address space.
 type RegionID int64
 
+// pageState is one page's 8 bytes. Its zero value is a page never
+// touched: not resident and holding no swap slot.
 type pageState struct {
-	resident bool
-	swapSlot int64 // -1 when not swapped
-	// clockH is the page's slot in the daemon's clock ring; ring.None
-	// when non-resident.
+	// swap is the page's swap slot plus one; 0 when it holds none.
+	swap int32
+	// clockH is the page's slot in the daemon's clock ring. A page is
+	// resident exactly when it holds one; ring.None otherwise.
 	clockH ring.Handle
 }
+
+func (pg *pageState) resident() bool { return pg.clockH != ring.None }
 
 type clockKey struct {
 	as     *AddrSpace
@@ -108,6 +113,9 @@ type VM struct {
 func New(e *sim.Engine, pool *mem.Pool, swap *disk.Disk, swapBlocks int64, cfg Config) *VM {
 	if swapBlocks <= 0 {
 		swapBlocks = swap.Params().Blocks()
+	}
+	if swapBlocks > math.MaxInt32 {
+		panic(fmt.Sprintf("vm: %d swap slots, more than a page's int32 slot can name", swapBlocks))
 	}
 	return &VM{
 		e: e, pool: pool, swap: swap, cfg: cfg,
@@ -178,11 +186,10 @@ func (v *VM) EvictOne(p *sim.Proc) bool {
 	pg := &r.pages[key.idx]
 	// Mark non-resident before the I/O so a concurrent reclaim cannot
 	// pick this page again.
-	pg.resident = false
 	pg.clockH = ring.None
 	key.as.resident--
 	slot := v.allocSwapSlot()
-	pg.swapSlot = slot
+	pg.swap = int32(slot) + 1
 	v.stats.SwapOuts++
 	v.telSwapOuts.Inc()
 	v.telSyncGauges()
@@ -230,9 +237,6 @@ func (as *AddrSpace) Alloc(npages int64) RegionID {
 	as.nextID++
 	id := as.nextID
 	as.regions[id] = &region{id: id, pages: make([]pageState, npages)}
-	for i := range as.regions[id].pages {
-		as.regions[id].pages[i].swapSlot = -1
-	}
 	return id
 }
 
@@ -246,18 +250,16 @@ func (as *AddrSpace) Free(id RegionID) {
 	freed := 0
 	for i := range r.pages {
 		pg := &r.pages[i]
-		if pg.resident {
-			if pg.clockH != ring.None {
-				if as.vm.hand == pg.clockH {
-					as.vm.hand = as.vm.clock.Next(pg.clockH)
-				}
-				as.vm.clock.Remove(pg.clockH)
+		if pg.resident() {
+			if as.vm.hand == pg.clockH {
+				as.vm.hand = as.vm.clock.Next(pg.clockH)
 			}
+			as.vm.clock.Remove(pg.clockH)
 			freed++
 			as.resident--
 		}
-		if pg.swapSlot >= 0 {
-			as.vm.freeSwapSlot(pg.swapSlot)
+		if pg.swap != 0 {
+			as.vm.freeSwapSlot(int64(pg.swap - 1))
 		}
 	}
 	if freed > 0 {
@@ -295,7 +297,7 @@ func (as *AddrSpace) Resident() int { return as.resident }
 func (as *AddrSpace) ResidentIn(id RegionID) int {
 	n := 0
 	for i := range as.regions[id].pages {
-		if as.regions[id].pages[i].resident {
+		if as.regions[id].pages[i].resident() {
 			n++
 		}
 	}
@@ -317,18 +319,17 @@ func (as *AddrSpace) Touch(p *sim.Proc, id RegionID, idx int64, write bool) {
 	}
 	pg := &r.pages[idx]
 	switch {
-	case pg.resident:
+	case pg.resident():
 		pg.clockH = v.touchClock(pg.clockH)
 		p.Sleep(v.cfg.TouchResident)
-	case pg.swapSlot < 0 && !write:
+	case pg.swap == 0 && !write:
 		// Zero-page read: no frame needed.
 		p.Sleep(v.cfg.TouchResident)
-	case pg.swapSlot < 0:
+	case pg.swap == 0:
 		// First write: demand-zero fault. GrabFrame may reclaim (cache
 		// drop, dirty write-back, or a swap-out) — all charged to p.
 		v.pool.GrabFrame(p)
 		p.Sleep(v.cfg.FaultOverhead + v.cfg.ZeroFill + v.cfg.TouchResident)
-		pg.resident = true
 		as.resident++
 		pg.clockH = v.clock.PushBack(clockKey{as: as, region: id, idx: idx})
 		v.stats.ZeroFills++
@@ -337,14 +338,13 @@ func (as *AddrSpace) Touch(p *sim.Proc, id RegionID, idx int64, write bool) {
 	default:
 		// Swap-in.
 		v.pool.GrabFrame(p)
-		slot := pg.swapSlot
+		slot := int64(pg.swap - 1)
 		v.stats.SwapIns++
 		v.telSwapIns.Inc()
 		v.swap.Access(p, slot, 1, false)
 		p.Sleep(v.cfg.FaultOverhead + v.cfg.TouchResident)
-		pg.swapSlot = -1
+		pg.swap = 0
 		v.freeSwapSlot(slot)
-		pg.resident = true
 		as.resident++
 		pg.clockH = v.clock.PushBack(clockKey{as: as, region: id, idx: idx})
 		v.telSyncGauges()

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"graybox/internal/disk"
@@ -152,12 +154,12 @@ func TestClockGivesSecondChance(t *testing.T) {
 		as.Touch(p, r, 10, true)
 		as.Touch(p, r, 11, true)
 		for _, idx := range []int64{0, 1} {
-			if !as.regions[r].pages[idx].resident {
+			if !as.regions[r].pages[idx].resident() {
 				t.Errorf("recently touched page %d was evicted", idx)
 			}
 		}
 		for _, idx := range []int64{2, 3} {
-			if as.regions[r].pages[idx].resident {
+			if as.regions[r].pages[idx].resident() {
 				t.Errorf("cold page %d survived", idx)
 			}
 		}
@@ -242,7 +244,7 @@ func TestResidentInvariantProperty(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			idx := rng.Int63n(64)
 			as.Touch(p, r, idx, true)
-			if !as.regions[r].pages[idx].resident {
+			if !as.regions[r].pages[idx].resident() {
 				t.Fatalf("page %d not resident immediately after write", idx)
 			}
 			if as.Resident() > 32 {
@@ -250,6 +252,21 @@ func TestResidentInvariantProperty(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNewRejectsSwapBeyondInt32 pins the bound a page's int32 swap
+// field sets on the swap device.
+func TestNewRejectsSwapBeyondInt32(t *testing.T) {
+	e := sim.NewEngine(1)
+	swap := disk.New(e, disk.DefaultParams())
+	pool := mem.NewPool(e, 10)
+	New(e, pool, swap, math.MaxInt32, DefaultConfig()) // the most a page can name
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "swap slots") {
+			t.Fatalf("New with 2^31 swap slots: panic %q, want one naming the swap slots", msg)
+		}
+	}()
+	New(e, pool, swap, math.MaxInt32+1, DefaultConfig())
 }
 
 func TestAllocBadArgsPanic(t *testing.T) {
