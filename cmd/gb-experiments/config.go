@@ -17,7 +17,6 @@ type config struct {
 	list        bool
 	outPath     string
 	parallel    int
-	snapshot    bool
 	benchOut    string
 	tracePath   string
 	metricsPath string
@@ -48,7 +47,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	list := fs.Bool("list", false, "print the registered experiment ids and exit")
 	outPath := fs.String("o", "", "write output to file (default stdout)")
 	parallel := fs.Int("parallel", 0, "trial worker-pool width (0 = GOMAXPROCS)")
-	snapshot := fs.Bool("snapshot", true, "build each sweep's aged platform once and fork per trial (false = cold-build every trial)")
 	benchOut := fs.String("bench-out", "", "write per-experiment wall/virtual time JSON to file (e.g. BENCH_experiments.json)")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file (open in about://tracing or Perfetto)")
 	metricsPath := fs.String("metrics", "", "write a metrics snapshot; .json extension selects JSON, otherwise aligned text")
@@ -71,7 +69,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		list:        *list,
 		outPath:     *outPath,
 		parallel:    *parallel,
-		snapshot:    *snapshot,
 		benchOut:    *benchOut,
 		tracePath:   *tracePath,
 		metricsPath: *metricsPath,

@@ -169,6 +169,7 @@ func TestParseConfigErrors(t *testing.T) {
 		{"non-numeric cpus", []string{"-cpus", "0,many"}, "invalid"},
 		{"negative cpus", []string{"-cpus", "-1"}, "negative"},
 		{"shard-parallel flag removed", []string{"-shard-parallel", "2"}, "not defined"},
+		{"snapshot flag removed", []string{"-snapshot=false"}, "not defined"},
 		{"mega scale removed", []string{"-scale", "mega"}, `unknown scale "mega"`},
 		// Flag parsing stops at the first id, so a later flag is an id.
 		{"flag after id", []string{"fig2", "-o", "out.txt"}, `unknown experiment "-o"`},

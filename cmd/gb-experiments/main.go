@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gb-experiments [-scale full|quick] [-parallel N] [-snapshot=bool]
+//	gb-experiments [-scale full|quick] [-parallel N]
 //	               [-markdown] [-list] [-o file] [-bench-out file]
 //	               [-trace file] [-metrics file] [-audit file]
 //	               [-profile file] [-cpuprofile file] [-memprofile file]
@@ -22,11 +22,8 @@
 //
 // Each experiment fans its independent trials (seeds, personalities,
 // sweep points) out over a worker pool of -parallel goroutines; every
-// trial owns its platform (engine, RNG, virtual clock), so output is
-// byte-identical at any pool width. Sweeps whose trials share a platform
-// configuration build the aged machine once and fork a copy-on-write
-// snapshot per trial; -snapshot=false restores the cold-build-per-trial
-// path (output is byte-identical either way). -bench-out records
+// trial builds its own platform (engine, RNG, virtual clock), so output
+// is byte-identical at any pool width. -bench-out records
 // per-experiment wall-clock and simulated-time totals as JSON so the
 // suite's performance is comparable across revisions.
 //
@@ -122,7 +119,6 @@ func run(args []string) int {
 		return 0
 	}
 	experiments.SetParallelism(cfg.parallel)
-	experiments.SetSnapshotReuse(cfg.snapshot)
 	experiments.EnableTelemetry(cfg.telemetryOn())
 	experiments.EnableAudit(cfg.auditPath != "")
 

@@ -54,22 +54,15 @@ func Fig1(cfg Fig1Config) *Table {
 	type cell struct{ mean, sd float64 }
 
 	// Each access unit is an independent trial: its own platform, file and
-	// RNG stream, exactly as the sequential loop built them. All trials
-	// share one platform shape (the 2x-cache data file), so the aged
-	// machine is built once and forked per access unit.
-	perAU := RunTrialsWithSnapshot(len(cfg.AccessUnitsMB), func(seed uint64) *simos.System {
-		s := buildSystem(simos.Linux22, sc, seed)
+	// RNG stream, exactly as the sequential loop built them. The data file
+	// is twice the cache.
+	perAU := RunTrials(len(cfg.AccessUnitsMB), func(ai int) []cell {
+		s := buildSystem(simos.Linux22, sc, 1000+uint64(ai))
 		fileSize := 2 * int64(s.Pool.Capacity()) * int64(s.PageSize())
 		_, err := s.FS(0).CreateSized("data", fileSize)
 		mustNoErr(err)
-		return s
-	}, func(ai int) uint64 {
-		return 1000 + uint64(ai)
-	}, func(ai int, s *simos.System) []cell {
-		auMB := cfg.AccessUnitsMB[ai]
-		cacheBytes := int64(s.Pool.Capacity()) * int64(s.PageSize())
-		fileSize := 2 * cacheBytes
-		au := sc.bytes(auMB, s.PageSize())
+		trackSystem(s)
+		au := sc.bytes(cfg.AccessUnitsMB[ai], s.PageSize())
 		if au > fileSize {
 			au = fileSize
 		}

@@ -44,14 +44,10 @@ func Fig2(cfg Fig2Config) *Table {
 
 	costs := apps.DefaultCosts()
 	// Every file size is an independent trial on its own platform; rows
-	// are assembled back in sweep order. The platforms differ only in the
-	// swept file (created after the fork), so they share one base.
-	plat := NewSnapshotPlatform(func(seed uint64) *simos.System {
-		return buildSystem(simos.Linux22, sc, seed)
-	})
+	// are assembled back in sweep order.
 	rows := RunTrials(len(cfg.FileSizesMB), func(si int) []string {
 		sizeMB := cfg.FileSizesMB[si]
-		s := plat.Trial(2000 + uint64(si))
+		s := newSystem(simos.Linux22, sc, 2000+uint64(si))
 		aud := s.EnableAudit() // scores every FCCD prediction GBScan makes
 		cacheBytes := int64(s.Pool.Capacity()) * int64(s.PageSize())
 		fileSize := sc.mb(sizeMB) * simos.MB
@@ -126,7 +122,9 @@ func Fig2(cfg Fig2Config) *Table {
 	for _, row := range rows {
 		t.AddRow(row...)
 	}
-	t.AddNote("cache ~%d MB at this scale; linear scan collapses past it, gray-box tracks the ideal model", usableMB(plat.Trial(0)))
+	// newSystem registers the machine sized here, so its (idle) engine
+	// and registries appear in the exports beside the trials'.
+	t.AddNote("cache ~%d MB at this scale; linear scan collapses past it, gray-box tracks the ideal model", usableMB(newSystem(simos.Linux22, sc, 0)))
 	t.AddNote("fccd-audit: fraction of prediction units whose cached/uncached call matched the simulator oracle")
 	return t
 }

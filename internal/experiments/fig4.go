@@ -37,24 +37,15 @@ func Fig4(cfg Fig4Config) *Table {
 	platforms := []simos.Personality{simos.Linux22, simos.NetBSD15, simos.Solaris7}
 
 	// Each (platform, benchmark) pair runs on its own system, so the six
-	// cells run as independent units; rows keep the paper's order. The
-	// scan and search units on one personality share a base machine
-	// (their corpora differ, so files are created after the fork).
-	bases := make([]*SnapshotPlatform, len(platforms))
-	for pi := range platforms {
-		p := platforms[pi]
-		bases[pi] = NewSnapshotPlatform(func(seed uint64) *simos.System {
-			return buildSystem(p, sc, seed)
-		})
-	}
+	// cells run as independent units; rows keep the paper's order.
 	scanRows := make([][]string, len(platforms))
 	searchRows := make([][]string, len(platforms))
 	ForEachTrial(2*len(platforms), func(u int) {
 		pi, kind := u/2, u%2
 		if kind == 0 {
-			scanRows[pi] = fig4Scan(sc, pi, platforms[pi], costs, bases[pi])
+			scanRows[pi] = fig4Scan(sc, pi, platforms[pi], costs)
 		} else {
-			searchRows[pi] = fig4Search(sc, pi, platforms[pi], costs, bases[pi])
+			searchRows[pi] = fig4Search(sc, pi, platforms[pi], costs)
 		}
 	})
 	for pi := range platforms {
@@ -69,12 +60,12 @@ func Fig4(cfg Fig4Config) *Table {
 // Solaris scan a ~1 GB file; NetBSD's fixed cache is 64 MB, so (like the
 // paper, which reports best-case gray-box behavior there) it scans a file
 // sized to its own cache.
-func fig4Scan(sc Scale, pi int, p simos.Personality, costs apps.Costs, plat *SnapshotPlatform) []string {
+func fig4Scan(sc Scale, pi int, p simos.Personality, costs apps.Costs) []string {
 	scanMB := sc.mb(1024)
 	if p == simos.NetBSD15 {
 		scanMB = sc.netbsdCacheMB() + 1
 	}
-	s := plat.Trial(4000 + uint64(pi))
+	s := newSystem(p, sc, 4000+uint64(pi))
 	_, err := s.FS(0).CreateSized("data", scanMB*simos.MB)
 	mustNoErr(err)
 
@@ -104,7 +95,7 @@ func fig4Scan(sc Scale, pi int, p simos.Personality, costs apps.Costs, plat *Sna
 // files (65 x 1 MB on NetBSD). The matching string is in a cached file
 // listed LAST on the command line: maximum benefit for the gray-box
 // search.
-func fig4Search(sc Scale, pi int, p simos.Personality, costs apps.Costs, plat *SnapshotPlatform) []string {
+func fig4Search(sc Scale, pi int, p simos.Personality, costs apps.Costs) []string {
 	nFiles, fileMB := 100, sc.mb(10)
 	if p == simos.NetBSD15 {
 		nFiles, fileMB = 65, sc.mb(14)/14 // ~1 MB scaled
@@ -112,7 +103,7 @@ func fig4Search(sc Scale, pi int, p simos.Personality, costs apps.Costs, plat *S
 			fileMB = 1
 		}
 	}
-	s2 := plat.Trial(4100 + uint64(pi))
+	s2 := newSystem(p, sc, 4100+uint64(pi))
 	mustRun(s2, "mk", func(os *simos.OS) { mustNoErr(os.Mkdir("corpus")) })
 	var paths []string
 	for i := 0; i < nFiles; i++ {

@@ -100,11 +100,11 @@ func noiseMix(seed uint64, intensity float64, names []string, usable int64, cpus
 		case "scan":
 			// A file half the cache size churns the LRU bottom without
 			// instantly flushing the ICL's working set.
-			m.Add(&workload.Scanner{FileMB: maxI64(usable/2, 4), CPUPerKB: scanCPU})
+			m.Add(&workload.Scanner{FileMB: max(usable/2, 4), CPUPerKB: scanCPU})
 		case "zipf":
 			// 64-file corpus totalling half the cache: hot head stays
 			// resident, cold tail forces evictions.
-			m.Add(&workload.ZipfReader{Files: 64, FileKB: maxI64(usable*1024/128, 64)})
+			m.Add(&workload.ZipfReader{Files: 64, FileKB: max(usable*1024/128, 64)})
 		case "hog":
 			m.Add(&workload.MemHog{}) // 40% of the pool at intensity 1
 		case "web":
@@ -112,13 +112,6 @@ func noiseMix(seed uint64, intensity float64, names []string, usable int64, cpus
 		}
 	}
 	return m
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Noise measures how each ICL's oracle-scored quality decays as
@@ -148,36 +141,28 @@ func Noise(cfg NoiseConfig) *Table {
 		Columns: cols,
 	}
 
-	// Every intensity runs on the same aged platform — Linux at this
-	// scale plus the ICL's target files — so the sweep builds it once
-	// per cpus value (CPUs is machine configuration, part of the
-	// snapshot) and forks a copy per trial.
+	// Every intensity runs on its own machine: Linux at this scale with
+	// the cpus value's processors, plus the ICL's target files.
 	const nTargets = 8
 	for ci, cpus := range cfg.CPUList {
-		cpus := cpus
 		base := ci * len(cfg.Intensities)
-		rows := RunTrialsWithSnapshot(len(cfg.Intensities), func(seed uint64) *simos.System {
+		rows := RunTrials(len(cfg.Intensities), func(ii int) []string {
+			intensity := cfg.Intensities[ii]
+			seed := 9000 + 97*uint64(base+ii)
 			s := buildSystemCPUs(simos.Linux22, sc, seed, cpus)
+			usable := usableMB(s)
 			// The ICL's own working set: 8 files totalling half the cache,
 			// half of them warmed (by the trial) so the FCCD confusion
 			// matrix sees both cached and uncached truth.
-			targetBytes := maxI64(usableMB(s)/(2*nTargets), 1) * simos.MB
-			for i := 0; i < nTargets; i++ {
-				_, err := s.FS(0).CreateSized(fmt.Sprintf("icl.target.%d", i), targetBytes)
-				mustNoErr(err)
-			}
-			return s
-		}, func(ii int) uint64 {
-			return 9000 + 97*uint64(base+ii)
-		}, func(ii int, s *simos.System) []string {
-			intensity := cfg.Intensities[ii]
-			seed := 9000 + 97*uint64(base+ii)
-			aud := s.EnableAudit()
-			usable := usableMB(s)
+			targetBytes := max(usable/(2*nTargets), 1) * simos.MB
 			paths := make([]string, nTargets)
 			for i := range paths {
 				paths[i] = fmt.Sprintf("icl.target.%d", i)
+				_, err := s.FS(0).CreateSized(paths[i], targetBytes)
+				mustNoErr(err)
 			}
+			trackSystem(s)
+			aud := s.EnableAudit()
 
 			mix := noiseMix(seed, intensity, names, usable, cpus)
 			_, err := mix.Start(s)

@@ -100,67 +100,6 @@ func ForEachTrial(n int, trial func(i int)) {
 	}
 }
 
-// snapshotReuse gates the copy-on-write platform path: when on (the
-// default), sweeps that run many trials on the same aged platform build
-// it once, Snapshot it, and Fork a copy per trial instead of re-aging a
-// cold machine every time. Forked trials are byte-identical to cold
-// builds (the snapshot contract, pinned by simos.TestForkMatchesColdBuild
-// and TestParallelDeterminism), so this is purely a setup-cost
-// optimization.
-var snapshotReuse atomic.Bool
-
-func init() { snapshotReuse.Store(true) }
-
-// SnapshotReuse reports whether sweeps fork trials from a shared
-// platform snapshot.
-func SnapshotReuse() bool { return snapshotReuse.Load() }
-
-// SetSnapshotReuse toggles the snapshot path (the CLI's -snapshot flag).
-func SetSnapshotReuse(on bool) { snapshotReuse.Store(on) }
-
-// SnapshotPlatform lazily builds one base platform, snapshots it, and
-// hands each trial a private fork. build must construct the platform
-// with buildSystem (untracked) plus harness-time setup only — no
-// processes, no randomness — so that build(seed) and Fork(seed) are
-// interchangeable; the Snapshot call enforces those preconditions. With
-// snapshot reuse off, every Trial falls back to a cold build(seed).
-// Trial is safe for concurrent use by pool workers. If building or
-// snapshotting the base panics, every Trial re-raises that panic.
-type SnapshotPlatform struct {
-	build func(seed uint64) *simos.System
-	snap  func() *simos.Snapshot
-}
-
-// NewSnapshotPlatform wraps an untracked platform builder.
-func NewSnapshotPlatform(build func(seed uint64) *simos.System) *SnapshotPlatform {
-	return &SnapshotPlatform{
-		build: build,
-		snap:  sync.OnceValue(func() *simos.Snapshot { return build(0).Snapshot() }),
-	}
-}
-
-// Trial returns a machine seeded with seed, either forked from the
-// shared snapshot or cold-built, and registers it with the harness
-// (telemetry, audit, virtual-time) exactly as newSystem would.
-func (sp *SnapshotPlatform) Trial(seed uint64) *simos.System {
-	if !snapshotReuse.Load() {
-		return trackSystem(sp.build(seed))
-	}
-	return trackSystem(sp.snap().Fork(seed))
-}
-
-// RunTrialsWithSnapshot is RunTrials for sweeps whose trials share one
-// platform configuration: the aged base is built once (on the first
-// trial to need it) and forked per trial. seedOf maps a trial index to
-// its platform seed; trial receives its private machine.
-func RunTrialsWithSnapshot[T any](n int, build func(seed uint64) *simos.System,
-	seedOf func(i int) uint64, trial func(i int, s *simos.System) T) []T {
-	sp := NewSnapshotPlatform(build)
-	return RunTrials(n, func(i int) T {
-		return trial(i, sp.Trial(seedOf(i)))
-	})
-}
-
 // Virtual-time accounting for the -bench-out report: the engine of every
 // platform built through newSystem/newMultiDiskSystem is registered here,
 // and the CLI drains the total after each experiment. Only the engine is

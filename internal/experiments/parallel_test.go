@@ -3,9 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -72,24 +70,6 @@ func TestRunTrialsPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestSnapshotPlatformRepanics pins the failure path of the shared base:
-// when its build panics, every Trial panics with the build's own value,
-// not only the first one to build it.
-func TestSnapshotPlatformRepanics(t *testing.T) {
-	const msg = "base build failed"
-	sp := NewSnapshotPlatform(func(uint64) *simos.System { panic(msg) })
-	for call := 1; call <= 2; call++ {
-		func() {
-			defer func() {
-				if r := recover(); r != msg {
-					t.Errorf("Trial call %d panicked with %v, want %q", call, r, msg)
-				}
-			}()
-			sp.Trial(1)
-		}()
-	}
-}
-
 func TestRunTrialsZeroAndSequential(t *testing.T) {
 	if out := RunTrials(0, func(i int) int { return i }); len(out) != 0 {
 		t.Errorf("RunTrials(0) returned %v", out)
@@ -106,55 +86,18 @@ func TestRunTrialsZeroAndSequential(t *testing.T) {
 	})
 }
 
-// withSnapshotReuse runs f with the snapshot path forced on or off and
-// restores the default (on).
-func withSnapshotReuse(t *testing.T, on bool, f func()) {
-	t.Helper()
-	SetSnapshotReuse(on)
-	defer SetSnapshotReuse(true)
-	f()
-}
-
-var update = flag.Bool("update", false, "rewrite testdata/golden.sum from this run's output")
-
 // goldenPath holds the SHA-256 of each export of TestParallelDeterminism's
 // sequential render: the committed reference every engine change must
 // reproduce byte for byte.
 const goldenPath = "testdata/golden.sum"
-
-// checkGolden compares the digests of outputs (name, content pairs) with
-// goldenPath, or rewrites the file under -update.
-func checkGolden(t *testing.T, outputs [][2]string) {
-	t.Helper()
-	var b strings.Builder
-	for _, o := range outputs {
-		fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256([]byte(o[1])), o[0])
-	}
-	got := b.String()
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("output digests differ from %s (review the change, then rerun with -update):\n--- want ---\n%s--- got ---\n%s", goldenPath, want, got)
-	}
-}
 
 // TestParallelDeterminism is the tentpole's correctness gate: fan-out must
 // not perturb results. Every trial owns its platform (one engine, one RNG,
 // one virtual clock), so the rendered table must be byte-identical between
 // a sequential run and a wide pool — and so must the telemetry exports
 // (Chrome trace and metrics snapshot) and the oracle-grounded audit
-// report collected along the way. The same holds for the snapshot path:
-// trials forked from a shared platform snapshot must render byte-identical
-// tables and exports to cold-built trials. The sequential render must also
-// match the committed digests in goldenPath.
+// report collected along the way. The sequential render must also match
+// the committed digests in goldenPath.
 func TestParallelDeterminism(t *testing.T) {
 	EnableTelemetry(true)
 	EnableAudit(true)
@@ -164,30 +107,28 @@ func TestParallelDeterminism(t *testing.T) {
 	}()
 	TakeTelemetry() // drain whatever earlier tests accumulated
 	TakeAudits()
-	render := func(n int, snap bool) (tables, trace, metrics, audits string) {
+	render := func(n int) (tables, trace, metrics, audits string) {
 		var b strings.Builder
-		withSnapshotReuse(t, snap, func() {
-			withParallelism(t, n, func() {
-				b.WriteString(Fig2(Fig2Config{Scale: QuickScale()}).String())
-				b.WriteString(Fig5(Fig5Config{Scale: QuickScale()}).String())
-				b.WriteString(PriorArtSweeps().String())
-				// Two intensity points keep the contention sweep fast while
-				// still exercising workload-concurrent trials at both widths.
-				b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0, 0.75}}).String())
-				// One quota x intensity point (2 arms, naive vs gray-box)
-				// covers the stash tier: tier-disk fork, Preload, audit.
-				b.WriteString(Stash(StashConfig{Scale: QuickScale(), QuotaFracs: []float64{0.25}, Intensities: []float64{0.5}}).String())
-				// One load level (2 arms) covers the request-tracing path:
-				// sketches, SLO tracker, per-request span trees, and the
-				// MAC admission controller, with trial-side telemetry on.
-				b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond}).String())
-				// The same sweeps on contended machines (CPUs=1 and 2):
-				// the SMP scheduler's run queues, timeslice preemption, and
-				// dispatch order must be as deterministic as everything
-				// above, across pool widths and snapshot on/off.
-				b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0.75}, CPUList: []int{1, 2}}).String())
-				b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond, CPUList: []int{1, 2}}).String())
-			})
+		withParallelism(t, n, func() {
+			b.WriteString(Fig2(Fig2Config{Scale: QuickScale()}).String())
+			b.WriteString(Fig5(Fig5Config{Scale: QuickScale()}).String())
+			b.WriteString(PriorArtSweeps().String())
+			// Two intensity points keep the contention sweep fast while
+			// still exercising workload-concurrent trials at both widths.
+			b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0, 0.75}}).String())
+			// One quota x intensity point (2 arms, naive vs gray-box)
+			// covers the stash tier: tier disk, Preload, audit.
+			b.WriteString(Stash(StashConfig{Scale: QuickScale(), QuotaFracs: []float64{0.25}, Intensities: []float64{0.5}}).String())
+			// One load level (2 arms) covers the request-tracing path:
+			// sketches, SLO tracker, per-request span trees, and the
+			// MAC admission controller, with trial-side telemetry on.
+			b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond}).String())
+			// The same sweeps on contended machines (CPUs=1 and 2):
+			// the SMP scheduler's run queues, timeslice preemption, and
+			// dispatch order must be as deterministic as everything
+			// above, across pool widths.
+			b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0.75}, CPUList: []int{1, 2}}).String())
+			b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond, CPUList: []int{1, 2}}).String())
 		})
 		regs := TakeTelemetry()
 		var tr, mt, au bytes.Buffer
@@ -202,10 +143,13 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		return b.String(), tr.String(), mt.String(), au.String()
 	}
-	seqTab, seqTrace, seqMetrics, seqAudit := render(1, true)
-	checkGolden(t, [][2]string{{"tables", seqTab}, {"trace", seqTrace}, {"metrics", seqMetrics}, {"audit", seqAudit}})
-	parTab, parTrace, parMetrics, parAudit := render(8, true)
-	coldTab, coldTrace, coldMetrics, coldAudit := render(8, false)
+	seqTab, seqTrace, seqMetrics, seqAudit := render(1)
+	var sums strings.Builder
+	for _, o := range [][2]string{{"tables", seqTab}, {"trace", seqTrace}, {"metrics", seqMetrics}, {"audit", seqAudit}} {
+		fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256([]byte(o[1])), o[0])
+	}
+	checkFile(t, goldenPath, sums.String())
+	parTab, parTrace, parMetrics, parAudit := render(8)
 	if seqTab != parTab {
 		t.Errorf("-parallel 8 output differs from sequential run:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqTab, parTab)
 	}
@@ -217,18 +161,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	if seqAudit != parAudit {
 		t.Error("-parallel 8 audit report differs from sequential run")
-	}
-	if parTab != coldTab {
-		t.Errorf("snapshot-forked output differs from cold-built trials:\n--- forked ---\n%s\n--- cold ---\n%s", parTab, coldTab)
-	}
-	if parTrace != coldTrace {
-		t.Error("snapshot-forked Chrome trace differs from cold-built trials")
-	}
-	if parMetrics != coldMetrics {
-		t.Error("snapshot-forked metrics snapshot differs from cold-built trials")
-	}
-	if parAudit != coldAudit {
-		t.Error("snapshot-forked audit report differs from cold-built trials")
 	}
 	// The exports must actually contain the instrumented stack, ICLs
 	// included (fig2 drives FCCD probes).
@@ -245,32 +177,6 @@ func TestParallelDeterminism(t *testing.T) {
 	if !strings.Contains(seqAudit, "fccd") {
 		t.Error("audit report missing FCCD section")
 	}
-}
-
-// TestSnapshotDeterminismAllExperiments sweeps the whole registry: every
-// experiment's table must be byte-identical whether its trials fork a
-// shared platform snapshot or cold-build their machines. Experiments
-// that never touch the snapshot path pass trivially (both runs are cold
-// builds); the ones that do (fig1, fig2, fig4, noise) prove the fork is
-// indistinguishable from a cold build end to end.
-func TestSnapshotDeterminismAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick suite twice")
-	}
-	for _, r := range All() {
-		r := r
-		t.Run(r.ID, func(t *testing.T) {
-			var forked, cold string
-			withParallelism(t, 8, func() {
-				withSnapshotReuse(t, true, func() { forked = r.Run(QuickScale()).String() })
-				withSnapshotReuse(t, false, func() { cold = r.Run(QuickScale()).String() })
-			})
-			if forked != cold {
-				t.Errorf("snapshot-forked table differs from cold-built trials:\n--- forked ---\n%s\n--- cold ---\n%s", forked, cold)
-			}
-		})
-	}
-	TakeVirtualTime() // drop the platforms this sweep built
 }
 
 func TestTakeTelemetry(t *testing.T) {

@@ -26,9 +26,9 @@ func newSystem(p simos.Personality, sc Scale, seed uint64) *simos.System {
 	return trackSystem(buildSystem(p, sc, seed))
 }
 
-// buildSystem is newSystem without harness tracking. Snapshot bases use
-// it directly: the base machine never runs a trial, so it must not be
-// registered with telemetry, audit, or virtual-time accounting.
+// buildSystem is newSystem without harness tracking. Sweeps whose
+// trials need fixture files build the machine with it, create the
+// files, and then register the machine with trackSystem.
 func buildSystem(p simos.Personality, sc Scale, seed uint64) *simos.System {
 	return simos.New(sc.machine(p, seed))
 }

@@ -150,23 +150,18 @@ func Slo(cfg SloConfig) *Table {
 		Columns: cols,
 	}
 
-	// Trials flatten as (cpus, load, policy, trial); every trial forks
-	// its cpus value's pure base — fixtures are per-trial (mix.Prepare),
-	// so the base is just the machine.
+	// Trials flatten as (cpus, load, policy, trial); every trial builds
+	// its own machine, and its fixtures come from mix.Prepare.
 	nArms := len(cfg.Loads) * len(sloPolicies)
 	n := nArms * sc.Trials
 	for ci, cpus := range cfg.CPUList {
-		cpus := cpus
 		base := ci * n
-		trials := RunTrialsWithSnapshot(n, func(seed uint64) *simos.System {
-			return buildSystemCPUs(simos.Linux22, sc, seed, cpus)
-		}, func(ii int) uint64 {
-			return 13000 + 157*uint64(base+ii)
-		}, func(ii int, s *simos.System) sloTrial {
+		trials := RunTrials(n, func(ii int) sloTrial {
 			arm := ii / sc.Trials
 			load := cfg.Loads[arm/len(sloPolicies)]
 			policy := sloPolicies[arm%len(sloPolicies)]
 			seed := 13000 + 157*uint64(base+ii)
+			s := trackSystem(buildSystemCPUs(simos.Linux22, sc, seed, cpus))
 
 			// The tracing subsystem is the experiment's measurement
 			// instrument, so it is always on here (harness -trace/-metrics
@@ -186,13 +181,13 @@ func Slo(cfg SloConfig) *Table {
 			// service times inflate — which holds more requests in flight,
 			// the thrash spiral of Figure 7 transplanted to serving.
 			// Admission decides who thrashes.
-			bufBytes := maxI64(usable*simos.MB/128, 64*1024)
+			bufBytes := max(usable*simos.MB/128, 64*1024)
 			var renderCPU sim.Time
 			if cpus > 0 {
 				renderCPU = sloRenderCPUPerKB
 			}
 			web := &workload.WebServer{
-				Files:       int(maxI64(usable/8*1024/128, 16)), // corpus = usable/8
+				Files:       int(max(usable/8*1024/128, 16)), // corpus = usable/8
 				FileKB:      128,
 				RatePerSec:  load,
 				MaxInFlight: sloNaiveCap,

@@ -107,12 +107,12 @@ func Stash(cfg StashConfig) *Table {
 			"wasted", "wasted-rate", "writebacks", "off-hit"},
 	}
 
-	seedOf := func(ii int) uint64 { return 11000 + 131*uint64(ii) }
-	// Every arm runs on the same base platform — corpus on the slow
-	// disk, a backing file sized for the largest quota on the fast tier
-	// — built once and forked per trial. All fixture files are
-	// CreateSized, so the base stays snapshot-pure (zero I/O).
-	rows := RunTrialsWithSnapshot(len(arms), func(seed uint64) *simos.System {
+	// Every arm runs on its own machine with the same fixture files: the
+	// corpus on the slow disk and, on the fast tier, a backing file sized
+	// for the largest quota.
+	rows := RunTrials(len(arms), func(ii int) []string {
+		arm := arms[ii]
+		seed := 11000 + 131*uint64(ii)
 		s := buildStashSystem(sc, seed)
 		ps := int64(s.PageSize())
 		pool := poolBlocks(s)
@@ -127,14 +127,8 @@ func Stash(cfg StashConfig) *Table {
 		}
 		_, err := s.FS(1).CreateSized("stash0", maxQuota*ps)
 		mustNoErr(err)
-		return s
-	}, seedOf, func(ii int, s *simos.System) []string {
-		arm := arms[ii]
-		seed := seedOf(ii)
+		trackSystem(s)
 		aud := s.EnableAudit()
-		ps := int64(s.PageSize())
-		pool := poolBlocks(s)
-		fileBlocks := (3*pool/2 + stashFiles - 1) / stashFiles
 		quota := int64(arm.frac * float64(pool))
 		if quota < 16 {
 			quota = 16
@@ -171,8 +165,8 @@ func Stash(cfg StashConfig) *Table {
 				mustNoErr(err)
 			}
 			// Aged start: preload half the quota from a prior life's
-			// manifest (persistent-index reload, zero virtual time) —
-			// the snapshot-era amortization every arm shares.
+			// manifest (persistent-index reload, zero virtual time),
+			// the same start for every arm.
 			pre := quota / 2
 			man := make([]stash.BlockID, 0, pre)
 			for i := int64(0); i < pre; i++ {

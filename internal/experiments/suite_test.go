@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -72,6 +73,8 @@ func TestQuickSuiteGolden(t *testing.T) {
 	checkFile(t, quickTablesPath, tables.String())
 	checkFile(t, quickExportsPath, sums.String())
 }
+
+var update = flag.Bool("update", false, "rewrite the committed golden files in testdata from this run's output")
 
 // checkFile compares got with the committed file at path, reporting the
 // first lines that differ, or rewrites the file under -update.
