@@ -166,7 +166,3 @@ func (d *Disk) service(p *sim.Proc, block int64, nblocks int, write bool) {
 	d.lastEnd = block + int64(nblocks)
 	d.lastEndTime = d.e.Now()
 }
-
-// QueuedRequests reports the number of waiting requests under a
-// non-FCFS scheduler.
-func (d *Disk) QueuedRequests() int { return len(d.sched.queue) }

@@ -343,8 +343,8 @@ func TestRegistry(t *testing.T) {
 	if ByID("fig5") == nil || ByID("nope") != nil {
 		t.Error("ByID lookup broken")
 	}
-	// The harness may resolve ids concurrently; the map is built once and
-	// then read-only, and returned Runners are private copies.
+	// The harness may resolve ids concurrently, and returned Runners are
+	// private copies.
 	ForEachTrial(16, func(i int) {
 		r := ByID(all[i%len(all)].ID)
 		if r == nil || r.Run == nil {

@@ -1,7 +1,5 @@
 package experiments
 
-import "sync"
-
 // Runner produces one experiment's table at a given scale.
 type Runner struct {
 	ID    string
@@ -57,26 +55,13 @@ func All() []Runner {
 	}
 }
 
-// byID is built once from All; Runner values are stateless (ID, title and
-// a pure function), so the map can be shared by concurrent resolvers.
-var (
-	byIDOnce sync.Once
-	byID     map[string]Runner
-)
-
-// ByID returns the runner with the given ID, or nil. It is safe for
-// concurrent use and costs one map lookup (the registry is indexed once,
-// not re-sliced per call).
+// ByID returns a private copy of the runner with the given ID, or nil.
+// It is safe for concurrent use.
 func ByID(id string) *Runner {
-	byIDOnce.Do(func() {
-		all := All()
-		byID = make(map[string]Runner, len(all))
-		for _, r := range all {
-			byID[r.ID] = r
+	for _, r := range All() {
+		if r.ID == id {
+			return &r
 		}
-	})
-	if r, ok := byID[id]; ok {
-		return &r
 	}
 	return nil
 }

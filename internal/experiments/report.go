@@ -83,13 +83,6 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Scale selects experiment sizing.
 type Scale struct {
 	// MemoryMB is the machine's physical memory (kernel reserve scales

@@ -23,9 +23,6 @@ var (
 // -trace/-metrics flags). It only affects platforms built afterwards.
 func EnableTelemetry(on bool) { telEnabled.Store(on) }
 
-// TelemetryEnabled reports whether harness telemetry is on.
-func TelemetryEnabled() bool { return telEnabled.Load() }
-
 // TakeTelemetry returns the registries of every platform built since the
 // previous call, in deterministic order, and resets the accumulator.
 func TakeTelemetry() []*telemetry.Registry {

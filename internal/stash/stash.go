@@ -206,9 +206,6 @@ func (st *Stash) Len() int { return len(st.blocks) }
 // DirtyLen returns the number of dirty resident blocks.
 func (st *Stash) DirtyLen() int { return st.dirty.Len() }
 
-// Offline reports whether the stash is in degraded mode.
-func (st *Stash) Offline() bool { return st.offline }
-
 // SetOffline switches degraded mode: while on, reads are served
 // stash-only (misses return *OfflineMissError), writes buffer in the
 // stash without write-back, and Sync/Open fail with ErrOffline.
