@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -607,17 +608,57 @@ func TestInoRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestOutOfSpace: a CreateSized that does not fit fails and changes
+// nothing, under either allocator: no file, no inode, no block and no
+// moved rotor. The next file gets the i-number it would have had, and
+// the name stays free for a retry.
 func TestOutOfSpace(t *testing.T) {
-	w := newWorld(t)
-	w.run(t, func(p *sim.Proc) {
-		free := w.fs.FreeSpace()
-		if _, err := w.fs.CreateSized("huge", (free+1)*4096); err == nil {
-			t.Error("over-allocation succeeded")
-		}
-		if w.fs.FreeSpace() != free {
-			t.Error("failed allocation leaked blocks")
-		}
-	})
+	for _, tc := range []struct {
+		name  string
+		alloc AllocPolicy
+	}{{"ffs", AllocFFS}, {"lfs", AllocLFS}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			cfg := DefaultConfig()
+			cfg.Alloc = tc.alloc
+			w.fs = New(w.e, w.d, w.c, cfg)
+			for _, name := range []string{"a", "b", "c"} {
+				if _, err := w.fs.CreateSized(name, 8*4096); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Unlinking b leaves a hole in the inodes and the blocks.
+			hole, _ := w.fs.InoOf("b")
+			w.run(t, func(p *sim.Proc) {
+				if err := w.fs.Unlink(p, "b"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			free := w.fs.FreeSpace()
+			before := w.fs.Snapshot()
+			if _, err := w.fs.CreateSized("big", (free+1)*4096); err == nil {
+				t.Fatal("over-allocation succeeded")
+			}
+			if ino, err := w.fs.InoOf("big"); err == nil {
+				t.Errorf("failed create left big behind as inode %d", ino)
+			}
+			if got := w.fs.FreeSpace(); got != free {
+				t.Errorf("FreeSpace = %d after the failed create, want %d", got, free)
+			}
+			if !reflect.DeepEqual(w.fs.Snapshot(), before) {
+				t.Error("failed create changed the metadata: inodes, bitmaps or rotors")
+			}
+			if _, err := w.fs.CreateSized("next", 4096); err != nil {
+				t.Fatal(err)
+			}
+			if ino, _ := w.fs.InoOf("next"); ino != hole {
+				t.Errorf("next file got i-number %d, want %d, the hole b left", ino, hole)
+			}
+			if _, err := w.fs.CreateSized("big", 4096); err != nil {
+				t.Errorf("retrying big at a size that fits: %v", err)
+			}
+		})
+	}
 }
 
 func TestFirstBlockOfMatchesBlocksOf(t *testing.T) {

@@ -266,29 +266,31 @@ func (m *fsModel) apply(p *sim.Proc, op fsOp, copies []*FS) error {
 		path := m.fresh(dir.path, "f")
 		size := int64(op.b) * 300
 		want, ok := m.nextIno(dir.group)
-		// A file that does not fit is still created, empty.
+		// A file that does not fit is not created at all.
 		fits := m.pages(size) <= m.free()
-		mf := &modelFile{ino: want}
+		mf := &modelFile{ino: want, size: size}
 		for k, f := range copies {
 			_, err := f.CreateSized(path, size)
-			if !ok {
+			if !ok || !fits {
 				if err == nil {
-					return fmt.Errorf("copy %d created %s with every inode in use", k, path)
+					return fmt.Errorf("copy %d created %s of %d pages with %d free, inode free %v", k, path, m.pages(size), m.free(), ok)
+				}
+				if ino, err := f.InoOf(path); err == nil {
+					return fmt.Errorf("copy %d: failed create left %s behind as inode %d", k, path, ino)
 				}
 				continue
 			}
-			if (err == nil) != fits {
-				return fmt.Errorf("copy %d: creating %s of %d pages with %d free: err %v", k, path, m.pages(size), m.free(), err)
+			if err != nil {
+				return fmt.Errorf("copy %d: creating %s of %d pages with %d free: %v", k, path, m.pages(size), m.free(), err)
 			}
 			if ino, err := f.InoOf(path); err != nil || ino != want {
 				return fmt.Errorf("copy %d: %s got i-number %d (%v), want %d, the lowest free", k, path, ino, err, want)
 			}
-			if k == 0 && fits {
-				mf.size = size
+			if k == 0 {
 				mf.blocks = slices.Clone(f.inodes[want].blocks)
 			}
 		}
-		if ok {
+		if ok && fits {
 			m.files[path] = mf
 		}
 	case fsopExtend:

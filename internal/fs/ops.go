@@ -78,15 +78,19 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 // CreateSized is a harness fixture builder: it creates a file of the
 // given size with blocks allocated through the normal allocator but
 // charges no virtual time and performs no I/O. Use it to lay out
-// experiment inputs "instantly" before measurement begins.
+// experiment inputs "instantly" before measurement begins. A file that
+// does not fit fails before anything is created.
 func (fs *FS) CreateSized(path string, size int64) (*File, error) {
+	npages := (size + int64(fs.pageSize) - 1) / int64(fs.pageSize)
+	if npages > fs.FreeSpace() {
+		return nil, fmt.Errorf("fs: create %q: out of space", path)
+	}
 	f, err := fs.Create(nil, path)
 	if err != nil {
 		return nil, err
 	}
 	if size > 0 {
 		parent, _, _ := fs.lookupParent(path)
-		npages := (size + int64(fs.pageSize) - 1) / int64(fs.pageSize)
 		blocks, err := fs.allocBlocks(parent.group, npages)
 		if err != nil {
 			return nil, err
