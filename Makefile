@@ -19,14 +19,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race gate for the worker-pool trial runner, the single-threaded engine
-# invariant beneath it, and the packages whose processes wake each other
-# (resources, queues, the workload generators), where a parking process
-# hands control straight to the next one on its own goroutine.
+# Race gate over every package: the worker-pool trial runner, the
+# single-threaded engine invariant beneath it, the packages whose
+# processes wake each other (a parking process hands control straight
+# to the next one on its own goroutine), and the allocation guards,
+# which must hold in a race build too.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/experiments/... \
-		./internal/workload/... ./internal/simos/... ./internal/priorart/... \
-		./internal/disk/... ./internal/afs/...
+	$(GO) test -race ./...
 
 # Fuzz the engine's event order against a sorted-slice reference model,
 # cache operation sequences against a map-based reference cache, and

@@ -55,10 +55,13 @@ type Policy interface {
 // the policy does not track.
 type slotHandles []ring.Handle
 
-// set records slot's handle, growing the slice to reach slot.
+// set records slot's handle, growing the slice to reach slot. It
+// appends one None at a time: append's doubling amortizes the growth,
+// and no temporary slice is made (a race build allocates one for
+// append(s, make(...)...)).
 func (s *slotHandles) set(slot int32, h ring.Handle) {
-	if n := int(slot) + 1; n > len(*s) {
-		*s = append(*s, make([]ring.Handle, n-len(*s))...)
+	for int(slot) >= len(*s) {
+		*s = append(*s, ring.None)
 	}
 	(*s)[slot] = h
 }

@@ -12,8 +12,11 @@ import (
 // (OS cache, disk, event pool) have grown to the working set, a stash
 // hit and a full miss+admit+evict cycle must not allocate.
 
-// allocWorld builds a machine whose OS cache is smaller than the churn
-// file, a stash at quota, and hands the measurement body a warm stash.
+// allocWorld builds a machine and a stash at quota, and hands the
+// measurement body a warm stash. The OS cache is not smaller than the
+// churn file: its 12 MB of frames (16 MB less the 4 MB kernel) hold all
+// 8 MB, so each measured read of a churn block not read before also
+// inserts a new page into the OS cache, at a new slot.
 func allocWorld(t testing.TB, graybox bool, body func(st *Stash, hot, churn *File)) {
 	s := newMachine(11)
 	// 2048 distinct churn blocks against a 64-block quota: every read
