@@ -9,11 +9,15 @@ import (
 	"graybox/internal/sim"
 )
 
-// buildAged constructs a small machine and ages its file system the way
-// experiment setups do: harness-time file creation (CreateSized) plus
-// deletions that leave allocation holes.
-func buildAged(p Personality, seed uint64) *System {
-	s := New(Config{Personality: p, Seed: seed, MemoryMB: 64, KernelMB: 8})
+// buildAged constructs a small machine of configuration cfg and ages
+// its file system the way experiment setups do: harness-time file
+// creation (CreateSized) plus deletions that leave allocation holes. A
+// machine with a tier disk also gets a file on the tier's file system
+// and an SSTF scheduler on the tier disk, so that a fork must carry
+// both.
+func buildAged(cfg Config, seed uint64) *System {
+	cfg.Seed, cfg.MemoryMB, cfg.KernelMB = seed, 64, 8
+	s := New(cfg)
 	for i := 0; i < 12; i++ {
 		if _, err := s.FS(0).CreateSized(fmt.Sprintf("aged.%d", i), 2*MB); err != nil {
 			panic(err)
@@ -29,13 +33,46 @@ func buildAged(p Personality, seed uint64) *System {
 			panic(err)
 		}
 	}
+	if cfg.TierDisk != nil {
+		s.DataDisk(1).SetScheduler(disk.SSTF)
+		if _, err := s.FS(1).CreateSized("tier", 8*MB); err != nil {
+			panic(err)
+		}
+	}
 	return s
 }
 
-// exercise runs a deterministic read/stat workload and returns a
-// timing-and-state transcript. Two machines in identical state must
-// produce identical transcripts.
+// exercise runs a deterministic workload and returns a timing-and-state
+// transcript. Two machines in identical state must produce identical
+// transcripts. Beside the probe, three load processes each compute for
+// longer than a timeslice, so on a machine with two CPUs a run queue
+// forms and slices expire. On a machine with a tier disk each burst
+// follows a read of the tier file; the three processes read at once, at
+// offsets out of cylinder order, so the disk's scheduler decides which
+// queued read it serves next.
 func exercise(s *System, seed uint64) string {
+	var load []*sim.Proc
+	done := make([]sim.Time, 3)
+	for i, off := range []int64{1 * MB, 7 * MB, 2 * MB} {
+		load = append(load, s.Spawn(fmt.Sprintf("load.%d", i), 0, func(o *OS) {
+			var tier *Fd
+			if s.cfg.TierDisk != nil {
+				var err error
+				if tier, err = o.Open("/mnt1/tier"); err != nil {
+					panic(err)
+				}
+			}
+			for j := int64(0); j < 3; j++ {
+				if tier != nil {
+					if err := tier.Read(off+j*64*1024, 64*1024); err != nil {
+						panic(err)
+					}
+				}
+				o.Compute(15 * sim.Millisecond)
+			}
+			done[i] = o.Now()
+		}))
+	}
 	out := ""
 	err := s.Run("probe", func(o *OS) {
 		rng := sim.NewRNG(seed)
@@ -58,22 +95,44 @@ func exercise(s *System, seed uint64) string {
 	if err != nil {
 		panic(err)
 	}
+	for i, p := range load {
+		if err := p.Err(); err != nil {
+			panic(err)
+		}
+		out += fmt.Sprintf("%s done at %d\n", p.Name(), done[i])
+	}
 	cs := s.Cache.Stats()
 	ds := s.DataDisk(0).Stats()
-	out += fmt.Sprintf("end now=%d cache=%+v disk.reads=%d disk.seek=%d pool=%d free=%d\n",
-		s.Engine.Now(), cs, ds.Reads, ds.SeekTime, s.Pool.Used(), s.FS(0).FreeSpace())
+	out += fmt.Sprintf("end now=%d cache=%+v disk.reads=%d disk.seek=%d pool=%d free=%d switches=%d\n",
+		s.Engine.Now(), cs, ds.Reads, ds.SeekTime, s.Pool.Used(), s.FS(0).FreeSpace(), s.Engine.ContextSwitches())
+	if s.cfg.TierDisk != nil {
+		ts := s.DataDisk(1).Stats()
+		out += fmt.Sprintf("tier.reads=%d tier.seek=%d tier.queue=%d tier.free=%d\n",
+			ts.Reads, ts.SeekTime, ts.QueueTime, s.FS(1).FreeSpace())
+	}
 	return out
 }
 
 // TestForkMatchesColdBuild is the snapshot contract: a trial run on a
 // Fork must be byte-identical to the same trial on a cold-built machine
-// with the same seed, for every personality.
+// with the same seed, for every personality, and for a machine with
+// simulated CPUs and one with a tier disk.
 func TestForkMatchesColdBuild(t *testing.T) {
-	for _, p := range []Personality{Linux22, NetBSD15, Solaris7} {
-		t.Run(string(p), func(t *testing.T) {
-			snap := buildAged(p, 0).Snapshot()
+	fast := disk.FastParams()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"linux22", Config{Personality: Linux22}},
+		{"netbsd15", Config{Personality: NetBSD15}},
+		{"solaris7", Config{Personality: Solaris7}},
+		{"linux22-cpus2", Config{Personality: Linux22, CPUs: 2}},
+		{"linux22-tier", Config{Personality: Linux22, TierDisk: &fast}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := buildAged(tc.cfg, 0).Snapshot()
 			for _, seed := range []uint64{7, 91} {
-				cold := exercise(buildAged(p, seed), seed)
+				cold := exercise(buildAged(tc.cfg, seed), seed)
 				forked := exercise(snap.Fork(seed), seed)
 				if cold != forked {
 					t.Fatalf("seed %d: forked transcript diverges from cold build\ncold:\n%s\nforked:\n%s", seed, cold, forked)
@@ -86,7 +145,7 @@ func TestForkMatchesColdBuild(t *testing.T) {
 // TestForkIndependence checks forks do not share mutable state: running
 // one fork leaves a sibling fork (and the snapshot) untouched.
 func TestForkIndependence(t *testing.T) {
-	snap := buildAged(Linux22, 0).Snapshot()
+	snap := buildAged(Config{Personality: Linux22}, 0).Snapshot()
 	a := snap.Fork(1)
 	before := exercise(snap.Fork(2), 2)
 	_ = exercise(a, 1) // mutate sibling a
@@ -102,7 +161,7 @@ func TestForkIndependence(t *testing.T) {
 // and in groups it never touched. A sibling fork made before it ran, and
 // a fork made after, must then match a fork measured before it ran.
 func TestForkWritesStayPrivate(t *testing.T) {
-	base := buildAged(Linux22, 0)
+	base := buildAged(Config{Personality: Linux22}, 0)
 	snap := base.Snapshot()
 	ref, sibling, writer := snap.Fork(2), snap.Fork(2), snap.Fork(1)
 	want := forkState(ref)
@@ -216,7 +275,7 @@ func BenchmarkFork(b *testing.B) {
 		build func() *System
 	}{
 		{"bare", func() *System { return New(Config{Personality: Linux22}) }},
-		{"aged", func() *System { return buildAged(Linux22, 0) }},
+		{"aged", func() *System { return buildAged(Config{Personality: Linux22}, 0) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			snap := bc.build().Snapshot()
