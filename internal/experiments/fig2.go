@@ -122,8 +122,8 @@ func Fig2(cfg Fig2Config) *Table {
 	for _, row := range rows {
 		t.AddRow(row...)
 	}
-	// newSystem registers the machine sized here, so its (idle) engine
-	// and registries appear in the exports beside the trials'.
+	// The machine sized here is registered like a trial's, so it shows in
+	// the exports too.
 	t.AddNote("cache ~%d MB at this scale; linear scan collapses past it, gray-box tracks the ideal model", usableMB(newSystem(simos.Linux22, sc, 0)))
 	t.AddNote("fccd-audit: fraction of prediction units whose cached/uncached call matched the simulator oracle")
 	return t

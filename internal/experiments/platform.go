@@ -28,7 +28,8 @@ func newSystem(p simos.Personality, sc Scale, seed uint64) *simos.System {
 
 // buildSystem is newSystem without harness tracking. Sweeps whose
 // trials need fixture files build the machine with it, create the
-// files, and then register the machine with trackSystem.
+// files, and only then register the machine with trackSystem: creating
+// them on a tracked machine would count in its metrics.
 func buildSystem(p simos.Personality, sc Scale, seed uint64) *simos.System {
 	return simos.New(sc.machine(p, seed))
 }
