@@ -54,8 +54,7 @@ func Fig1(cfg Fig1Config) *Table {
 	type cell struct{ mean, sd float64 }
 
 	// Each access unit is an independent trial: its own platform, file and
-	// RNG stream, exactly as the sequential loop built them. The data file
-	// is twice the cache.
+	// RNG stream, exactly as the sequential loop built them.
 	perAU := RunTrials(len(cfg.AccessUnitsMB), func(ai int) []cell {
 		s := buildSystem(simos.Linux22, sc, 1000+uint64(ai))
 		fileSize := 2 * int64(s.Pool.Capacity()) * int64(s.PageSize())
