@@ -138,27 +138,17 @@ func run(args []string) int {
 		Parallel:   experiments.Parallelism(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	var allRegs []*telemetry.Registry
-	var allAuds []*audit.Auditor
+	var regs []*telemetry.Registry
+	var auds []*audit.Auditor
 	suiteStart := time.Now()
-	experiments.TakeVirtualTime() // reset the accumulator
-	experiments.TakeTelemetry()
-	experiments.TakeAudits()
 	for _, r := range cfg.runners {
 		start := time.Now()
 		tab := r.Run(cfg.scale)
 		elapsed := time.Since(start)
-		virtual := experiments.TakeVirtualTime()
 		// Drain per experiment so each registry's label carries the
 		// experiment id and the file keeps run order.
-		for _, reg := range experiments.TakeTelemetry() {
-			reg.SetLabel(r.ID + " | " + reg.Label())
-			allRegs = append(allRegs, reg)
-		}
-		for _, aud := range experiments.TakeAudits() {
-			aud.SetLabel(r.ID + " | " + aud.Label())
-			allAuds = append(allAuds, aud)
-		}
+		virtual, rs, as := experiments.Drain(r.ID)
+		regs, auds = append(regs, rs...), append(auds, as...)
 		if cfg.markdown {
 			fmt.Fprintln(out, tab.Markdown())
 		} else {
@@ -174,62 +164,40 @@ func run(args []string) int {
 	}
 	report.TotalWallMS = float64(time.Since(suiteStart).Microseconds()) / 1000
 
-	if cfg.tracePath != "" {
-		if err := writeFileWith(cfg.tracePath, func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, allRegs)
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "[trace written to %s]\n", cfg.tracePath)
+	writeMetrics := telemetry.WriteMetricsText
+	if strings.HasSuffix(cfg.metricsPath, ".json") {
+		writeMetrics = telemetry.WriteMetricsJSON
 	}
-	if cfg.metricsPath != "" {
-		write := telemetry.WriteMetricsText
-		if strings.HasSuffix(cfg.metricsPath, ".json") {
-			write = telemetry.WriteMetricsJSON
+	for _, f := range []struct {
+		path, name string
+		write      func(io.Writer) error
+	}{
+		{cfg.tracePath, "trace", func(w io.Writer) error { return telemetry.WriteChromeTrace(w, regs) }},
+		{cfg.metricsPath, "metrics", func(w io.Writer) error { return writeMetrics(w, regs) }},
+		{cfg.profilePath, "profile", func(w io.Writer) error { return telemetry.WriteFolded(w, regs) }},
+		{cfg.auditPath, "audit report", func(w io.Writer) error { return audit.WriteJSON(w, auds) }},
+		{cfg.benchOut, "bench report", func(w io.Writer) error {
+			data, err := json.MarshalIndent(report, "", "  ")
+			if err == nil {
+				_, err = w.Write(append(data, '\n'))
+			}
+			return err
+		}},
+	} {
+		if f.path == "" {
+			continue
 		}
-		if err := writeFileWith(cfg.metricsPath, func(w io.Writer) error {
-			return write(w, allRegs)
-		}); err != nil {
+		if err := writeFileWith(f.path, f.write); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "[metrics written to %s]\n", cfg.metricsPath)
+		fmt.Fprintf(os.Stderr, "[%s written to %s]\n", f.name, f.path)
 	}
 	if cfg.profilePath != "" {
-		if err := writeFileWith(cfg.profilePath, func(w io.Writer) error {
-			return telemetry.WriteFolded(w, allRegs)
-		}); err != nil {
+		if err := telemetry.WriteTopTable(os.Stderr, regs, 20); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "[profile written to %s]\n", cfg.profilePath)
-		if err := telemetry.WriteTopTable(os.Stderr, allRegs, 20); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.auditPath != "" {
-		if err := writeFileWith(cfg.auditPath, func(w io.Writer) error {
-			return audit.WriteJSON(w, allAuds)
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "[audit report written to %s]\n", cfg.auditPath)
-	}
-
-	if cfg.benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.benchOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "[bench report written to %s]\n", cfg.benchOut)
 	}
 	return 0
 }

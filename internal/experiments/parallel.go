@@ -6,9 +6,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"graybox/internal/sim"
-	"graybox/internal/simos"
 )
 
 // The experiment harnesses are embarrassingly parallel: every trial (a
@@ -98,46 +95,4 @@ func ForEachTrial(n int, trial func(i int)) {
 			panic(fmt.Sprintf("experiments: trial %d panicked: %v\n%s", i, p.val, p.stack))
 		}
 	}
-}
-
-// Virtual-time accounting for the -bench-out report: the engine of every
-// platform built through newSystem/newMultiDiskSystem is registered here,
-// and the CLI drains the total after each experiment. Only the engine is
-// kept, so a finished trial's machine can be collected. Mini-simulations
-// that build raw engines (internal/priorart) are not tracked.
-var (
-	vtMu      sync.Mutex
-	vtEngines []*sim.Engine
-)
-
-func trackSystem(s *simos.System) *simos.System {
-	if telEnabled.Load() {
-		r := s.EnableTelemetry()
-		telMu.Lock()
-		telRegs = append(telRegs, r)
-		telMu.Unlock()
-	}
-	if audEnabled.Load() {
-		a := s.EnableAudit()
-		audMu.Lock()
-		auditors = append(auditors, a)
-		audMu.Unlock()
-	}
-	vtMu.Lock()
-	vtEngines = append(vtEngines, s.Engine)
-	vtMu.Unlock()
-	return s
-}
-
-// TakeVirtualTime returns the summed final virtual clocks of every
-// platform built since the previous call, and resets the accumulator.
-func TakeVirtualTime() sim.Time {
-	vtMu.Lock()
-	defer vtMu.Unlock()
-	var total sim.Time
-	for _, e := range vtEngines {
-		total += e.Now()
-	}
-	vtEngines = nil
-	return total
 }
