@@ -1,7 +1,9 @@
 // Package disk models a circa-2001 SCSI disk (the paper's testbed used
 // IBM 9LZX drives): a seek curve over cylinder distance, deterministic
 // rotational positioning derived from virtual time, and per-track transfer
-// bandwidth. Requests are serviced one at a time in FIFO order.
+// bandwidth. Requests are serviced one at a time from one queue, in the
+// order the disk's scheduler picks: arrival order (FCFS, the default),
+// shortest seek first (SSTF) or elevator sweeps (LOOK).
 //
 // The disk is addressed in fixed-size blocks (the file system page size).
 // Sequential block runs naturally achieve near-full bandwidth because the
@@ -96,7 +98,6 @@ type Stats struct {
 type Disk struct {
 	p       Params
 	e       *sim.Engine
-	res     *sim.Resource
 	headCyl int
 	stats   Stats
 
@@ -106,7 +107,7 @@ type Disk struct {
 	lastEnd     int64
 	lastEndTime sim.Time
 
-	// sched holds non-FCFS scheduling state (see sched.go).
+	// sched is the request queue and its policy (see sched.go).
 	sched schedState
 
 	// tel holds telemetry handles; nil until Instrument is called, and
@@ -157,7 +158,7 @@ func New(e *sim.Engine, p Params) *Disk {
 	if err := p.validate(); err != nil {
 		panic(err)
 	}
-	return &Disk{p: p, e: e, res: sim.NewResource(e, 1)}
+	return &Disk{p: p, e: e}
 }
 
 // Params returns the drive's geometry.
@@ -235,25 +236,18 @@ func (d *Disk) Access(p *sim.Proc, block int64, nblocks int, write bool) {
 		p.Track().Begin("disk", name)
 		t.queueDepth.Add(1)
 	}
-	if d.sched.policy != FCFS {
-		d.schedAccess(p, block, nblocks, write)
-	} else {
-		enqueued := d.e.Now()
-		d.res.Acquire(p)
-		queued := d.e.Now() - enqueued
-		d.stats.QueueTime += queued
-		if t := d.tel; t != nil {
-			t.queueNS.Add(int64(queued))
-			p.Track().QueueWait(int64(queued))
-		}
-		d.service(p, block, nblocks, write)
-		d.res.Release()
+	enqueued := d.e.Now()
+	d.acquire(p, block)
+	queued := d.e.Now() - enqueued
+	d.stats.QueueTime += queued
+	if t := d.tel; t != nil {
+		t.queueNS.Add(int64(queued))
+		p.Track().QueueWait(int64(queued))
 	}
+	d.service(p, block, nblocks, write)
+	d.release()
 	if t := d.tel; t != nil {
 		t.queueDepth.Add(-1)
 		p.Track().End()
 	}
 }
-
-// BusyTime reports how long the disk has been servicing requests.
-func (d *Disk) BusyTime() sim.Time { return d.res.BusyTime() }

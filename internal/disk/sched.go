@@ -21,22 +21,22 @@ const (
 	LOOK
 )
 
-// request is one queued disk access.
+// request is one access waiting in the disk's queue.
 type request struct {
-	proc    *sim.Proc
-	block   int64
-	nblocks int
-	write   bool
-	cyl     int
+	proc *sim.Proc
+	cyl  int
 }
 
-// schedState replaces the simple FIFO resource when a non-FCFS
-// scheduler is selected.
+// schedState is the disk's one request queue: the disk serves one
+// request at a time and, when it finishes, hands itself to the queued
+// request the policy picks. It also keeps the busy-time account.
 type schedState struct {
 	policy  Scheduler
 	busy    bool
-	queue   []*request
+	queue   []request
 	upsweep bool // LOOK direction
+
+	busySince, busyTotal sim.Time
 }
 
 // SetScheduler selects the request scheduler. It must be called before
@@ -51,36 +51,25 @@ func (d *Disk) SetScheduler(s Scheduler) {
 // Scheduler returns the active policy.
 func (d *Disk) Scheduler() Scheduler { return d.sched.policy }
 
-// schedAccess is the scheduled variant of Access (used for SSTF/LOOK).
-func (d *Disk) schedAccess(p *sim.Proc, block int64, nblocks int, write bool) {
-	req := &request{proc: p, block: block, nblocks: nblocks, write: write, cyl: d.cylinder(block)}
-	enq := d.e.Now()
+// acquire gives p the disk, queueing it behind the request being
+// served if there is one.
+func (d *Disk) acquire(p *sim.Proc, block int64) {
 	if d.sched.busy {
-		d.sched.queue = append(d.sched.queue, req)
-		p.Block()
-	} else {
-		d.sched.busy = true
+		d.sched.queue = append(d.sched.queue, request{proc: p, cyl: d.cylinder(block)})
+		p.Block() // the request ahead hands the disk over
+		return
 	}
-	queued := d.e.Now() - enq
-	d.stats.QueueTime += queued
-	if t := d.tel; t != nil {
-		t.queueNS.Add(int64(queued))
-		p.Track().QueueWait(int64(queued))
-	}
-	d.service(p, req.block, req.nblocks, req.write)
-	// Hand the disk to the next request per policy.
-	if next := d.pickNext(); next != nil {
-		d.e.Unblock(next.proc)
-	} else {
-		d.sched.busy = false
-	}
+	d.sched.busy, d.sched.busySince = true, d.e.Now()
 }
 
-// pickNext removes and returns the next request per the policy.
-func (d *Disk) pickNext() *request {
+// release hands the disk to the next queued request per the policy,
+// or idles it.
+func (d *Disk) release() {
 	q := d.sched.queue
 	if len(q) == 0 {
-		return nil
+		d.sched.busy = false
+		d.sched.busyTotal += d.e.Now() - d.sched.busySince
+		return
 	}
 	idx := 0
 	switch d.sched.policy {
@@ -98,9 +87,18 @@ func (d *Disk) pickNext() *request {
 	case LOOK:
 		idx = d.pickLook()
 	}
-	req := q[idx]
+	next := q[idx].proc
 	d.sched.queue = append(q[:idx], q[idx+1:]...)
-	return req
+	d.e.Unblock(next)
+}
+
+// BusyTime reports how long the disk has been servicing requests.
+func (d *Disk) BusyTime() sim.Time {
+	t := d.sched.busyTotal
+	if d.sched.busy {
+		t += d.e.Now() - d.sched.busySince
+	}
+	return t
 }
 
 // pickLook chooses the nearest request in the sweep direction, reversing
@@ -134,7 +132,7 @@ func (d *Disk) pickLook() int {
 	return 0
 }
 
-// service performs the mechanical transfer (shared by both paths).
+// service performs the mechanical transfer.
 func (d *Disk) service(p *sim.Proc, block int64, nblocks int, write bool) {
 	seek, rot, xfer := d.serviceTime(block, nblocks, d.e.Now())
 	total := d.p.Overhead + seek + rot + xfer

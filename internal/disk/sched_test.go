@@ -121,3 +121,32 @@ func TestSchedulerChangeGuard(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestBusyTimeIsServiceTime checks the busy-time account under every
+// policy: three 8-block reads queued at once keep the disk busy for
+// exactly their summed service time.
+func TestBusyTimeIsServiceTime(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sched Scheduler
+	}{{"fcfs", FCFS}, {"sstf", SSTF}, {"look", LOOK}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			d := newTestDisk(e)
+			d.SetScheduler(c.sched)
+			bpc := int64(d.p.BlocksPerTrack * d.p.TracksPerCyl)
+			for _, cyl := range []int64{4000, 100, 2000} {
+				e.Go("r", func(p *sim.Proc) { d.Access(p, cyl*bpc, 8, false) })
+			}
+			e.Run()
+			st := d.Stats()
+			if st.Reads != 3 || st.QueueTime == 0 {
+				t.Fatalf("stats %+v, want 3 reads that queued", st)
+			}
+			want := 3*d.p.Overhead + st.SeekTime + st.RotTime + st.TransferTime
+			if got := d.BusyTime(); got != want {
+				t.Errorf("BusyTime = %v, want the summed service time %v", got, want)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package simos
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"graybox/internal/disk"
@@ -319,4 +320,33 @@ func TestSnapshotRejectsDirtyState(t *testing.T) {
 		}
 		s.Snapshot()
 	})
+}
+
+// TestSnapshotRejectsDiskIO checks the busy-time guard on a disk that
+// serves its queue out of arrival order: a fork cannot carry the busy
+// time, so a machine whose SSTF data disk has served I/O must not be
+// snapshotted.
+func TestSnapshotRejectsDiskIO(t *testing.T) {
+	s := New(Config{MemoryMB: 64, KernelMB: 8})
+	s.DataDisk(0).SetScheduler(disk.SSTF)
+	if _, err := s.FS(0).CreateSized("f", MB); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run("read", func(o *OS) {
+		fd, err := o.Open("f")
+		if err != nil {
+			panic(err)
+		}
+		if err := fd.Read(0, MB); err != nil {
+			panic(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "raw disk I/O") {
+			t.Fatalf("Snapshot after SSTF disk I/O: panic %q, want the busy-time guard", r)
+		}
+	}()
+	s.Snapshot()
 }
