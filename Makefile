@@ -1,7 +1,10 @@
 # Tier-1 gates and perf tooling. `make race` is the correctness gate for
 # the parallel trial harness; `make bench` runs every layer's hot-path
 # microbenchmarks, and `make bench-suite` writes the suite's
-# BENCH_experiments.json.
+# BENCH_experiments.json. `make vet` and `make test` also cover the
+# benchmark module (benchmark/, its own go.mod), whose smoke test runs
+# every workload at smoke size and checks its digests, so a change to an
+# API it calls fails here and not only in a benchmark run.
 
 GO ?= go
 
@@ -18,6 +21,7 @@ build:
 
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test ./...
 
 # Race gate over every package: the worker-pool trial runner, the
 # single-threaded engine invariant beneath it, the packages whose
@@ -43,6 +47,7 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Lint with the pinned staticcheck when the binary is available; skip
 # with a warning otherwise (offline dev boxes don't install tools, CI
