@@ -61,8 +61,13 @@ func (r *Resource) Release() {
 		r.busyTotal += r.e.now - r.busySince
 	}
 	if len(r.waiters) > 0 {
+		// Shift the queue down rather than reslicing past its head, which
+		// would shed the slice's front capacity and make the next Acquire
+		// reallocate.
 		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
+		n := copy(r.waiters, r.waiters[1:])
+		r.waiters[n] = nil
+		r.waiters = r.waiters[:n]
 		r.grant()
 		r.e.Unblock(next)
 	}

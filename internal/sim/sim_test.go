@@ -307,6 +307,37 @@ func TestResourceBusyTime(t *testing.T) {
 	}
 }
 
+// TestResourceContendedAllocs guards Release's queue handling: once the
+// waiter queue has grown to the number of contenders, handing the
+// resource from process to process must not allocate. Four processes
+// each acquire, hold for 1 µs and release, so every Release hands the
+// unit to a queued process while the releaser queues again.
+func TestResourceContendedAllocs(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, 1)
+	for i := 0; i < 4; i++ {
+		e.Go("w", func(p *Proc) {
+			for {
+				r.Acquire(p)
+				p.Sleep(Microsecond)
+				r.Release()
+			}
+		})
+	}
+	e.RunUntil(100 * Microsecond) // warm the queue and the event pool
+	next := e.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		next += 80 * Microsecond // 80 hand-offs
+		e.RunUntil(next)
+	})
+	if allocs != 0 {
+		t.Errorf("contended acquire/release allocs per 80 cycles = %v, want 0", allocs)
+	}
+	if r.QueueLen() != 3 {
+		t.Errorf("queue length %d, want 3 waiting behind the holder", r.QueueLen())
+	}
+}
+
 func TestWaitAll(t *testing.T) {
 	e := NewEngine(1)
 	a := e.Go("a", func(p *Proc) { p.Sleep(10) })
