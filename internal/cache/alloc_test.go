@@ -9,10 +9,10 @@ import (
 )
 
 // Allocation guards for the cache hot paths. These are the CI tripwires
-// for ISSUE 5's discipline: once the arena and the policy rings have
-// grown to the working set, hits, re-dirtying, and even full
-// insert+evict cycles must not allocate. A regression here means a
-// container/list (or equivalent per-page heap node) crept back in.
+// for the arena discipline: once the arena has grown to the working
+// set, hits, re-dirtying, and even full insert+evict cycles must not
+// allocate. A regression here means a container/list (or equivalent
+// per-page heap node) crept back in.
 
 // newAllocCache builds a private-frames cache of cap pages pre-filled to
 // capacity, so every subsequent operation runs in steady state.
@@ -35,12 +35,8 @@ func TestPageRecordSize(t *testing.T) {
 }
 
 func TestLookupHitAllocs(t *testing.T) {
-	for _, mk := range []func() Policy{
-		func() Policy { return NewClock() },
-		func() Policy { return NewLRU() },
-		func() Policy { return NewHoldFirst() },
-	} {
-		c := newAllocCache(mk(), 64)
+	for _, p := range []Policy{Clock, LRU, HoldFirst} {
+		c := newAllocCache(p, 64)
 		i := int64(0)
 		allocs := testing.AllocsPerRun(1000, func() {
 			if !c.Lookup(pid(1, i%64)) {
@@ -49,13 +45,13 @@ func TestLookupHitAllocs(t *testing.T) {
 			i++
 		})
 		if allocs != 0 {
-			t.Errorf("%s: Lookup hit allocs/op = %v, want 0", c.PolicyName(), allocs)
+			t.Errorf("%s: Lookup hit allocs/op = %v, want 0", c.policy, allocs)
 		}
 	}
 }
 
 func TestInsertHitAllocs(t *testing.T) {
-	c := newAllocCache(NewClock(), 64)
+	c := newAllocCache(Clock, 64)
 	i := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		// Re-inserting a present page dirty exercises markDirty and the
@@ -77,12 +73,8 @@ func TestInsertEvictSteadyStateAllocs(t *testing.T) {
 	// the policies (HoldFirst keeps 0..62 and evicts the newest), so
 	// every insert misses. One lap before measuring sizes the file's slot
 	// index, so any allocation counted is a per-miss one.
-	for _, mk := range []func() Policy{
-		func() Policy { return NewClock() },
-		func() Policy { return NewLRU() },
-		func() Policy { return NewHoldFirst() },
-	} {
-		c := newAllocCache(mk(), 64)
+	for _, p := range []Policy{Clock, LRU, HoldFirst} {
+		c := newAllocCache(p, 64)
 		for i := int64(64); i < 192; i++ {
 			c.Insert(nil, pid(1, i), BlockAddr{}, false)
 		}
@@ -90,19 +82,19 @@ func TestInsertEvictSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(1000, func() {
 			id := pid(1, 64+next%128)
 			if c.slotOf(id) != nilPage {
-				t.Fatalf("%s: page %d already cached, want a miss", c.PolicyName(), id.Index)
+				t.Fatalf("%s: page %d already cached, want a miss", c.policy, id.Index)
 			}
 			c.Insert(nil, id, BlockAddr{}, false)
 			next++
 		})
 		if allocs != 0 {
-			t.Errorf("%s: insert+evict allocs/op = %v, want 0", c.PolicyName(), allocs)
+			t.Errorf("%s: insert+evict allocs/op = %v, want 0", c.policy, allocs)
 		}
 	}
 }
 
 func TestMarkDirtyCleanCycleAllocs(t *testing.T) {
-	c := newAllocCache(NewLRU(), 64)
+	c := newAllocCache(LRU, 64)
 	i := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		idx := c.slotOf(pid(1, i%64))
@@ -123,11 +115,11 @@ func TestRestoreReservesArenaGrowth(t *testing.T) {
 	for _, tc := range []struct{ pages, wantCap int }{{0, 0}, {20, 40}, {48, 64}, {64, 64}} {
 		e := sim.NewEngine(1)
 		cfg := Config{Capacity: 64, PrivateFrames: true}
-		src := New(e, cfg, NewClock(), nil)
+		src := New(e, cfg, Clock, nil)
 		for i := range tc.pages {
 			src.Insert(nil, pid(1, int64(i)), BlockAddr{}, false)
 		}
-		dst := New(e, cfg, NewClock(), nil)
+		dst := New(e, cfg, Clock, nil)
 		dst.Restore(src.Snapshot(), func(d *disk.Disk) *disk.Disk { return d })
 		if got := cap(dst.arena); got != tc.wantCap {
 			t.Errorf("%d pages: restored arena capacity %d, want %d", tc.pages, got, tc.wantCap)
@@ -136,7 +128,7 @@ func TestRestoreReservesArenaGrowth(t *testing.T) {
 }
 
 func BenchmarkLookupHit(b *testing.B) {
-	c := newAllocCache(NewClock(), 1024)
+	c := newAllocCache(Clock, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,7 +142,7 @@ func BenchmarkLookupHit(b *testing.B) {
 // reported is a per-miss allocation.
 func BenchmarkInsertEvict(b *testing.B) {
 	const capacity = 1024
-	c := newAllocCache(NewClock(), capacity)
+	c := newAllocCache(Clock, capacity)
 	for i := int64(capacity); i < 2*capacity; i++ {
 		c.Insert(nil, pid(1, i), BlockAddr{}, false)
 	}
@@ -170,7 +162,7 @@ func BenchmarkCacheRestore(b *testing.B) {
 	e := sim.NewEngine(1)
 	disks := []*disk.Disk{disk.New(e, disk.DefaultParams()), disk.New(e, disk.DefaultParams())}
 	cfg := Config{Capacity: files * pages, PrivateFrames: true, MaxDirty: files * pages}
-	c := New(e, cfg, NewClock(), nil)
+	c := New(e, cfg, Clock, nil)
 	for f := int64(0); f < files; f++ {
 		for pg := int64(0); pg < pages; pg++ {
 			c.Insert(nil, pid(f+1, pg), BlockAddr{Disk: disks[f%2], Block: f*pages + pg}, pg%8 == 0)
@@ -181,6 +173,6 @@ func BenchmarkCacheRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(e, cfg, NewClock(), nil).Restore(snap, same)
+		New(e, cfg, Clock, nil).Restore(snap, same)
 	}
 }

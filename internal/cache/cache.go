@@ -64,11 +64,13 @@ type cpage struct {
 	// dirtyPrev/dirtyNext are arena indices forming the dirty FIFO of
 	// the page's disk (oldest at head); nilPage when clean or at an end.
 	dirtyPrev, dirtyNext int32
-	// nextFree links free arena slots; meaningful only while free.
-	nextFree int32
-	file     int32  // index into fileTab
-	disk     uint16 // index into Cache.disks
-	dirty    bool
+	// prev/next link the replacement order (policy.go); while the slot
+	// is free, next links the free list instead.
+	prev, next int32
+	file       int32  // index into fileTab
+	disk       uint16 // index into Cache.disks
+	dirty      bool
+	ref        bool // Clock's reference bit
 }
 
 // dirtyQueue is one entry of a cache's disk table: a disk its pages are
@@ -95,6 +97,9 @@ type state struct {
 	arena    []cpage
 	freePage int32
 	resident int
+	// hand anchors the replacement order through the cached records
+	// (policy.go); nilPage when none is cached.
+	hand int32
 
 	// The page index: files maps an inode to its entry in fileTab, and
 	// the entry maps page numbers to arena slots. An inode's entry is
@@ -136,23 +141,23 @@ func New(e *sim.Engine, cfg Config, policy Policy, pool *mem.Pool) *Cache {
 	if !cfg.PrivateFrames && pool == nil {
 		panic("cache: pool-backed cache requires a pool")
 	}
+	if int(policy) >= len(policyNames) {
+		panic(fmt.Sprintf("cache: unknown policy %d", policy))
+	}
 	if cfg.MaxDirty <= 0 {
 		cfg.MaxDirty = 1 << 30 // effectively unthrottled
 	}
 	return &Cache{
 		e: e, cfg: cfg, pool: pool, policy: policy,
-		state: state{freePage: nilPage, files: make(map[int64]int32)},
+		state: state{freePage: nilPage, hand: nilPage, files: make(map[int64]int32)},
 	}
 }
-
-// PolicyName names the replacement policy in use.
-func (c *Cache) PolicyName() string { return c.policy.Name() }
 
 // Instrument registers the cache's metrics — hit/miss/eviction counters
 // and occupancy gauges, named per replacement policy — in r. A nil
 // registry leaves the handles nil, which keeps every update a no-op.
 func (c *Cache) Instrument(r *telemetry.Registry) {
-	prefix := "cache." + c.policy.Name() + "."
+	prefix := "cache." + c.policy.String() + "."
 	c.telHits = r.Counter(prefix + "hits")
 	c.telMisses = r.Counter(prefix + "misses")
 	c.telEvictions = r.Counter(prefix + "evictions")
@@ -289,7 +294,7 @@ func (c *Cache) maxPages() int {
 // list before growing the arena.
 func (c *Cache) allocPage() int32 {
 	if i := c.freePage; i != nilPage {
-		c.freePage = c.arena[i].nextFree
+		c.freePage = c.arena[i].next
 		return i
 	}
 	if len(c.arena) == cap(c.arena) {
@@ -308,9 +313,9 @@ func (c *Cache) arenaGrowth(n int) int {
 }
 
 // releasePage pushes slot i onto the free list. The record must already
-// be off its dirty FIFO and out of the page index.
+// be off the replacement order, its dirty FIFO and the page index.
 func (c *Cache) releasePage(i int32) {
-	c.arena[i] = cpage{nextFree: c.freePage, dirtyPrev: nilPage, dirtyNext: nilPage}
+	c.arena[i] = cpage{next: c.freePage, dirtyPrev: nilPage, dirtyNext: nilPage}
 	c.freePage = i
 }
 
@@ -318,7 +323,7 @@ func (c *Cache) releasePage(i int32) {
 // replacement state. Hit/miss counters are updated.
 func (c *Cache) Lookup(id PageID) bool {
 	if i := c.slotOf(id); i != nilPage {
-		c.policy.Touched(i)
+		c.touched(i)
 		c.stats.Hits++
 		c.telHits.Inc()
 		return true
@@ -346,8 +351,8 @@ func (c *Cache) Insert(p *sim.Proc, id PageID, addr BlockAddr, dirty bool) {
 	}
 	// Obtain a frame. Eviction write-back and frame reclaim park p, and
 	// while it sleeps another process may insert this same page — so the
-	// index is re-checked below before the record is created (a duplicate
-	// policy.Inserted would later name a victim the index no longer has).
+	// index is re-checked below before the record is created (a second
+	// record for the page would later be a victim the index no longer has).
 	if c.cfg.PrivateFrames {
 		for c.resident >= c.cfg.Capacity {
 			if !c.EvictOne(p) {
@@ -380,9 +385,9 @@ func (c *Cache) Insert(p *sim.Proc, id PageID, addr BlockAddr, dirty bool) {
 	}
 	i = c.allocPage()
 	c.arena[i] = cpage{page: id.Index, block: addr.Block, disk: c.addDisk(addr.Disk),
-		dirtyPrev: nilPage, dirtyNext: nilPage, nextFree: nilPage}
+		dirtyPrev: nilPage, dirtyNext: nilPage}
 	c.index(f, id, i)
-	c.policy.Inserted(i)
+	c.inserted(i)
 	if dirty {
 		c.markDirty(i)
 	}
@@ -493,7 +498,7 @@ func (c *Cache) writeBack(p *sim.Proc, i int32) {
 // EvictOne implements mem.Shrinker: pick a victim, drop it from the index
 // immediately, write it back if dirty, and return the frame.
 func (c *Cache) EvictOne(p *sim.Proc) bool {
-	i, ok := c.policy.Victim()
+	i, ok := c.victim()
 	if !ok {
 		return false
 	}
@@ -517,8 +522,8 @@ func (c *Cache) EvictOne(p *sim.Proc) bool {
 }
 
 // forget removes record i from the dirty FIFO and the page index and
-// releases its arena slot (but not the policy, whose Victim already
-// dropped it — callers invalidating externally use Removed).
+// releases its arena slot. The record must already be off the
+// replacement order (victim or unlink).
 func (c *Cache) forget(i int32) {
 	c.clean(i)
 	c.unindex(i)
@@ -559,7 +564,7 @@ func (c *Cache) dropFile(f int32) int {
 	n := c.fileTab[f].n
 	for _, i := range c.fileTab[f].slots {
 		if i != nilPage {
-			c.policy.Removed(i)
+			c.unlink(i)
 			c.forget(i)
 		}
 	}

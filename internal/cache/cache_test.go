@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,54 +14,92 @@ import (
 
 func pid(ino, idx int64) PageID { return PageID{Ino: ino, Index: idx} }
 
-// --- Policy unit tests ---
+// --- Replacement order ---
 //
-// Policies name pages by arena slot; these tests use slots 0..n-1 as if
-// a cache had inserted pages into a fresh arena.
+// These tests drive each policy through a private-frames cache. Page k
+// is the only page of inode k+1, so InvalidateFile removes exactly that
+// page, and pages inserted into a fresh cache take arena slots 0, 1, 2…
+// in order.
+
+type orderCache struct{ *Cache }
+
+func newOrderCache(policy Policy) orderCache {
+	return orderCache{New(sim.NewEngine(1), Config{Capacity: 1 << 10, PrivateFrames: true}, policy, nil)}
+}
+
+func orderPage(k int) PageID { return PageID{Ino: int64(k) + 1} }
+
+func (c orderCache) insert(k int) { c.Insert(nil, orderPage(k), BlockAddr{}, false) }
+func (c orderCache) touch(k int)  { c.Lookup(orderPage(k)) }
+func (c orderCache) remove(k int) { c.InvalidateFile(orderPage(k).Ino) }
+
+// evict evicts one page with EvictOne and returns its number; ok is
+// false when the cache had nothing to evict.
+func (c orderCache) evict() (k int, ok bool) {
+	before := maps.Clone(c.files)
+	if !c.EvictOne(nil) {
+		return -1, false
+	}
+	for ino := range before {
+		if _, ok := c.files[ino]; !ok {
+			return int(ino) - 1, true
+		}
+	}
+	panic("EvictOne evicted no page")
+}
+
+// orderLen is the length of the replacement order, counted by walking it.
+func (c orderCache) orderLen() int {
+	order, broken := replacementOrder(c.Cache)
+	if broken != "" {
+		panic(broken)
+	}
+	return len(order)
+}
 
 func TestClockEvictsUnreferencedFirst(t *testing.T) {
-	c := NewClock()
-	for i := int32(0); i < 4; i++ {
-		c.Inserted(i)
+	c := newOrderCache(Clock)
+	for i := 0; i < 4; i++ {
+		c.insert(i)
 	}
-	// One full sweep clears all ref bits; touch slot 2 afterwards by
+	// One full sweep clears all ref bits; touch page 2 afterwards by
 	// taking victims: first victim round-robins from the hand.
-	v1, ok := c.Victim()
+	v1, ok := c.evict()
 	if !ok {
 		t.Fatal("no victim")
 	}
-	c.Touched(2)
+	c.touch(2)
 	if v1 == 2 {
 		t.Skip("victim order picked the touched page first; irrelevant layout")
 	}
-	// Slot 2 is referenced, so the next victims should skip it until
+	// Page 2 is referenced, so the next victims should skip it until
 	// only it remains.
 	for c.Len() > 1 {
-		v, ok := c.Victim()
+		v, ok := c.evict()
 		if !ok {
 			t.Fatal("no victim")
 		}
 		if v == 2 {
-			t.Fatalf("evicted referenced slot %d while unreferenced pages remained", v)
+			t.Fatalf("evicted referenced page %d while unreferenced pages remained", v)
 		}
 	}
-	v, _ := c.Victim()
+	v, _ := c.evict()
 	if v != 2 {
-		t.Errorf("last victim = %d, want slot 2", v)
+		t.Errorf("last victim = %d, want page 2", v)
 	}
 }
 
 func TestClockSequentialEvictionOrder(t *testing.T) {
 	// Under one-pass insertion with no touches, clock evicts in insertion
 	// order — the "long chunks" property FCCD relies on.
-	c := NewClock()
+	c := newOrderCache(Clock)
 	const n = 50
-	for i := int32(0); i < n; i++ {
-		c.Inserted(i)
+	for i := 0; i < n; i++ {
+		c.insert(i)
 	}
-	var order []int32
+	var order []int
 	for {
-		v, ok := c.Victim()
+		v, ok := c.evict()
 		if !ok {
 			break
 		}
@@ -69,119 +108,113 @@ func TestClockSequentialEvictionOrder(t *testing.T) {
 	if len(order) != n {
 		t.Fatalf("evicted %d pages, want %d", len(order), n)
 	}
-	for i, slot := range order {
-		if slot != int32(i) {
-			t.Fatalf("eviction order[%d] = %d, want %d (insertion order)", i, slot, i)
+	for i, k := range order {
+		if k != i {
+			t.Fatalf("eviction order[%d] = %d, want %d (insertion order)", i, k, i)
 		}
 	}
 }
 
 func TestClockRemoveHandSafety(t *testing.T) {
-	c := NewClock()
-	c.Inserted(0)
-	c.Removed(0)
-	if c.Len() != 0 {
+	c := newOrderCache(Clock)
+	c.insert(0)
+	c.remove(0)
+	if c.orderLen() != 0 {
 		t.Fatal("page not removed")
 	}
-	if _, ok := c.Victim(); ok {
+	if _, ok := c.evict(); ok {
 		t.Fatal("victim from empty clock")
 	}
-	c.Inserted(1)
-	c.Inserted(2)
-	c.Removed(1)
-	v, ok := c.Victim()
+	c.insert(1)
+	c.insert(2)
+	c.remove(1)
+	v, ok := c.evict()
 	if !ok || v != 2 {
-		t.Fatalf("victim = %d, %v; want slot 2", v, ok)
+		t.Fatalf("victim = %d, %v; want page 2", v, ok)
 	}
 }
 
 func TestLRUOrder(t *testing.T) {
-	l := NewLRU()
-	l.Inserted(0)
-	l.Inserted(1)
-	l.Inserted(2)
-	l.Touched(0) // 0 becomes most recent
-	for _, want := range []int32{1, 2, 0} {
-		if v, _ := l.Victim(); v != want {
-			t.Errorf("victim = %d, want slot %d", v, want)
+	c := newOrderCache(LRU)
+	c.insert(0)
+	c.insert(1)
+	c.insert(2)
+	c.touch(0) // 0 becomes most recent
+	for _, want := range []int{1, 2, 0} {
+		if v, _ := c.evict(); v != want {
+			t.Errorf("victim = %d, want page %d", v, want)
 		}
 	}
 }
 
 func TestHoldFirstProtectsEarlyResidents(t *testing.T) {
-	h := NewHoldFirst()
-	for i := int32(0); i < 5; i++ {
-		h.Inserted(i)
+	c := newOrderCache(HoldFirst)
+	for i := 0; i < 5; i++ {
+		c.insert(i)
 	}
-	h.Touched(4) // touches must not change anything
-	for _, want := range []int32{4, 3} {
-		if v, _ := h.Victim(); v != want {
-			t.Errorf("victim = %d, want slot %d", v, want)
+	c.touch(4) // touches must not change anything
+	for _, want := range []int{4, 3} {
+		if v, _ := c.evict(); v != want {
+			t.Errorf("victim = %d, want page %d", v, want)
 		}
 	}
 }
 
-// TestPolicySlotReuse: a slot freed by Victim or Removed and handed to a
-// new page must be tracked afresh, as the cache's free list reuses slots.
+// TestPolicySlotReuse: a slot freed by an eviction or an invalidation
+// and handed to a new page must be ordered afresh, as the cache's free
+// list reuses slots.
 func TestPolicySlotReuse(t *testing.T) {
-	for _, p := range []Policy{NewClock(), NewLRU(), NewHoldFirst()} {
-		p.Inserted(0)
-		p.Inserted(1)
-		v, _ := p.Victim()
-		p.Removed(v) // already gone: a no-op
-		p.Inserted(v)
-		p.Removed(1 - v)
-		if p.Len() != 1 {
-			t.Fatalf("%s: len = %d, want 1", p.Name(), p.Len())
+	for _, p := range []Policy{Clock, LRU, HoldFirst} {
+		c := newOrderCache(p)
+		c.insert(0)
+		c.insert(1)
+		v, _ := c.evict()
+		freed := int32(v) // a fresh cache gave page k slot k
+		c.remove(v)       // already gone: a no-op
+		c.insert(2)
+		if got := c.slotOf(orderPage(2)); got != freed {
+			t.Fatalf("%v: page 2 took slot %d, want the freed slot %d", p, got, freed)
 		}
-		if got, ok := p.Victim(); !ok || got != v {
-			t.Errorf("%s: victim = %d, %v; want reused slot %d", p.Name(), got, ok, v)
+		c.remove(1 - v)
+		if c.orderLen() != 1 {
+			t.Fatalf("%v: order length = %d, want 1", p, c.orderLen())
+		}
+		if got, ok := c.evict(); !ok || got != 2 {
+			t.Errorf("%v: victim = %d, %v; want page 2 in reused slot %d", p, got, ok, freed)
 		}
 	}
 }
 
 func TestPolicyLenConsistencyProperty(t *testing.T) {
-	mk := map[string]func() Policy{
-		"clock":     func() Policy { return NewClock() },
-		"lru":       func() Policy { return NewLRU() },
-		"holdfirst": func() Policy { return NewHoldFirst() },
-	}
-	for name, ctor := range mk {
+	for _, p := range []Policy{Clock, LRU, HoldFirst} {
 		f := func(ops []uint8) bool {
-			p := ctor()
-			present := map[int32]bool{}
-			var free []int32 // slots given back, reused first like the arena's
-			next := int32(0)
+			c := newOrderCache(p)
+			present := map[int]bool{}
+			next := 0 // evicted slots are reused first, by the arena's free list
 			for _, op := range ops {
 				switch op % 3 {
 				case 0: // insert
-					slot := next
-					if n := len(free); n > 0 {
-						slot, free = free[n-1], free[:n-1]
-					} else {
-						next++
-					}
-					p.Inserted(slot)
-					present[slot] = true
+					c.insert(next)
+					present[next] = true
+					next++
 				case 1: // victim
-					if slot, ok := p.Victim(); ok {
-						if !present[slot] {
+					if k, ok := c.evict(); ok {
+						if !present[k] {
 							return false
 						}
-						delete(present, slot)
-						free = append(free, slot)
+						delete(present, k)
 					}
 				case 2: // touch something arbitrary
-					p.Touched(int32(op))
+					c.touch(int(op))
 				}
-				if p.Len() != len(present) {
+				if c.orderLen() != len(present) {
 					return false
 				}
 			}
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%v: %v", p, err)
 		}
 	}
 }
@@ -221,7 +254,7 @@ func (h *harness) run(fn func(p *sim.Proc)) {
 func (h *harness) addr(b int64) BlockAddr { return BlockAddr{Disk: h.d, Block: b} }
 
 func TestCacheInsertLookup(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(10), false)
 		if !h.c.Lookup(pid(1, 0)) {
@@ -238,7 +271,7 @@ func TestCacheInsertLookup(t *testing.T) {
 }
 
 func TestCacheCapacityNeverExceeded(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 8}, NewClock(), 100)
+	h := newHarness(t, Config{Capacity: 8}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 50; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), false)
@@ -253,7 +286,7 @@ func TestCacheCapacityNeverExceeded(t *testing.T) {
 }
 
 func TestCachePrivateFrames(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 4, PrivateFrames: true}, NewLRU(), 0)
+	h := newHarness(t, Config{Capacity: 4, PrivateFrames: true}, LRU, 0)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 10; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), false)
@@ -268,7 +301,7 @@ func TestCachePrivateFrames(t *testing.T) {
 }
 
 func TestCacheEvictionViaPoolPressure(t *testing.T) {
-	h := newHarness(t, Config{FloorPages: 2}, NewClock(), 10)
+	h := newHarness(t, Config{FloorPages: 2}, Clock, 10)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 10; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), false)
@@ -290,7 +323,7 @@ func TestCacheEvictionViaPoolPressure(t *testing.T) {
 }
 
 func TestDirtyWritebackOnEvict(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 2}, NewClock(), 10)
+	h := newHarness(t, Config{Capacity: 2}, Clock, 10)
 	h.run(func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(0), true)
 		h.c.Insert(p, pid(1, 1), h.addr(1), false)
@@ -306,7 +339,7 @@ func TestDirtyWritebackOnEvict(t *testing.T) {
 }
 
 func TestDirtyThrottle(t *testing.T) {
-	h := newHarness(t, Config{MaxDirty: 4}, NewClock(), 100)
+	h := newHarness(t, Config{MaxDirty: 4}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 12; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), true)
@@ -319,7 +352,7 @@ func TestDirtyThrottle(t *testing.T) {
 }
 
 func TestSyncWritesAllDirty(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 5; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), true)
@@ -335,7 +368,7 @@ func TestSyncWritesAllDirty(t *testing.T) {
 }
 
 func TestInvalidateFile(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 3; i++ {
 			h.c.Insert(p, pid(7, i), h.addr(i), true)
@@ -359,7 +392,7 @@ func TestInvalidateFile(t *testing.T) {
 }
 
 func TestDropAndPresenceBitmap(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(0), false)
 		h.c.Insert(p, pid(1, 2), h.addr(2), false)
@@ -378,7 +411,7 @@ func TestDropAndPresenceBitmap(t *testing.T) {
 }
 
 func TestReinsertExistingPageIsNoop(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	h.run(func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(0), false)
 		used := h.pool.Used()
@@ -398,7 +431,7 @@ func TestReinsertExistingPageIsNoop(t *testing.T) {
 // TestDirtyGaugeFollowsReinsert: re-inserting a cached page dirty must
 // refresh the dirty_pages gauge even when no throttle write follows.
 func TestDirtyGaugeFollowsReinsert(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	r := telemetry.NewRegistry("t", h.e.NowNS)
 	h.c.Instrument(r)
 	h.run(func(p *sim.Proc) {
@@ -419,7 +452,7 @@ func TestDirtyGaugeFollowsReinsert(t *testing.T) {
 // Regression test: the SMP scheduler's contended Compute made this
 // interleaving reachable in the noise sweep.
 func TestConcurrentSameInsertFoldsIntoExisting(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 2}, NewLRU(), 100)
+	h := newHarness(t, Config{Capacity: 2}, LRU, 100)
 	dup := pid(9, 9)
 	a := h.e.Go("a", func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(0), true) // dirty: its eviction parks
@@ -442,8 +475,8 @@ func TestConcurrentSameInsertFoldsIntoExisting(t *testing.T) {
 	if !h.c.Contains(dup) {
 		t.Fatal("racing page not cached")
 	}
-	if got, want := h.c.policy.Len(), h.c.Len(); got != want {
-		t.Fatalf("policy tracks %d pages, index has %d (duplicate insert)", got, want)
+	if got, want := (orderCache{h.c}).orderLen(), h.c.Len(); got != want {
+		t.Fatalf("replacement order holds %d pages, index has %d (duplicate insert)", got, want)
 	}
 	// Draining every page through the policy must agree with the index —
 	// with a duplicate, the second victim for dup is not in the cache.
@@ -451,8 +484,8 @@ func TestConcurrentSameInsertFoldsIntoExisting(t *testing.T) {
 		for h.c.EvictOne(p) {
 		}
 	})
-	if h.c.Len() != 0 || h.c.policy.Len() != 0 {
-		t.Errorf("after draining: index=%d policy=%d, want 0/0", h.c.Len(), h.c.policy.Len())
+	if n := (orderCache{h.c}).orderLen(); h.c.Len() != 0 || n != 0 {
+		t.Errorf("after draining: index=%d order=%d, want 0/0", h.c.Len(), n)
 	}
 }
 
@@ -460,7 +493,7 @@ func TestConcurrentSameInsertFoldsIntoExisting(t *testing.T) {
 // so a negative one is a caller bug and must fail loudly at the package
 // boundary rather than read as "not cached".
 func TestNegativePageIndexPanics(t *testing.T) {
-	h := newHarness(t, Config{}, NewClock(), 100)
+	h := newHarness(t, Config{}, Clock, 100)
 	for name, call := range map[string]func(){
 		"Insert":       func() { h.c.Insert(nil, pid(1, -1), h.addr(0), false) },
 		"Lookup":       func() { h.c.Lookup(pid(1, -1)) },
@@ -480,4 +513,41 @@ func TestNegativePageIndexPanics(t *testing.T) {
 	if h.c.Len() != 0 || h.pool.Used() != 0 {
 		t.Errorf("after the panics: len=%d used=%d, want nothing cached", h.c.Len(), h.pool.Used())
 	}
+}
+
+// wantPanic runs call and reports unless it panics with a message
+// containing want.
+func wantPanic(t *testing.T, want string, call func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Errorf("recovered %q, want a panic containing %q", msg, want)
+		}
+	}()
+	call()
+}
+
+// TestRestorePolicyMismatchPanics: a snapshot's replacement order is read
+// by its own policy's rules, so restoring it into a cache with another
+// policy is a caller bug and must fail loudly, leaving the cache empty.
+func TestRestorePolicyMismatchPanics(t *testing.T) {
+	src := newOrderCache(Clock)
+	src.insert(0)
+	snap := src.Snapshot()
+	for _, p := range []Policy{LRU, HoldFirst} {
+		dst := newOrderCache(p)
+		wantPanic(t, "snapshot with policy clock into a cache with policy "+p.String(), func() {
+			dst.Restore(snap, func(d *disk.Disk) *disk.Disk { return d })
+		})
+		if dst.Len() != 0 || dst.hand != nilPage {
+			t.Errorf("%v: after the panic: len=%d hand=%d, want an empty cache", p, dst.Len(), dst.hand)
+		}
+	}
+}
+
+func TestNewUnknownPolicyPanics(t *testing.T) {
+	wantPanic(t, "unknown policy 3", func() {
+		New(sim.NewEngine(1), Config{Capacity: 4, PrivateFrames: true}, Policy(3), nil)
+	})
 }

@@ -20,8 +20,9 @@ import (
 // same virtual time on both sides, and interleavings — two processes
 // inserting one page while the first parks in reclaim — replay
 // identically. After every operation the resident set, per-file counts,
-// presence bitmaps, dirty order, counters, Len, the pool's frame count
-// and the clock must agree.
+// presence bitmaps, dirty order, replacement order (with Clock's
+// reference bits), counters, Len, the pool's frame count and the clock
+// must agree.
 //
 // The snapshot op restores the cache into a fresh machine and carries on
 // with either copy. Each snapshot is restored once more at the end and
@@ -106,7 +107,7 @@ func fuzzPage(a byte) PageID {
 }
 
 type cacheScenario struct {
-	policy     int // 0 clock, 1 lru, 2 holdfirst
+	policy     int // a Policy: 0 clock, 1 lru, 2 holdfirst
 	disks      int
 	cfg        Config
 	poolFrames int
@@ -148,14 +149,6 @@ func decodeCacheScenario(data []byte) cacheScenario {
 		sc.ops = append(sc.ops, cacheOp{kind: int(next() % numFops), a: next(), b: next()})
 	}
 	return sc
-}
-
-func (sc cacheScenario) newPolicy() Policy {
-	return [...]func() Policy{
-		func() Policy { return NewClock() },
-		func() Policy { return NewLRU() },
-		func() Policy { return NewHoldFirst() },
-	}[sc.policy]()
 }
 
 // platform is one machine of a twin pair: engine, disks and pool, built
@@ -208,7 +201,7 @@ type machine struct {
 
 func newMachine(sc cacheScenario) *machine {
 	m := &machine{sc: sc, platform: newPlatform(sc)}
-	m.c = New(m.e, sc.cfg, sc.newPolicy(), m.pool)
+	m.c = New(m.e, sc.cfg, Policy(sc.policy), m.pool)
 	if m.pool != nil {
 		m.pool.AddShrinker(m.c)
 	}
@@ -269,6 +262,7 @@ type cacheView struct {
 	Resident  []PageID // in universe order
 	PerFile   [len(fuzzInos)]int
 	Dirty     []PageID // oldest first
+	Order     []refEnt // replacement order from the hand (refPolicy's order)
 	Stats     Stats
 	PoolUsed  int
 	Now       sim.Time
@@ -285,7 +279,7 @@ func (v cacheView) diff(want cacheView) string {
 }
 
 func (m *machine) view() cacheView {
-	v := cacheView{Len: m.c.Len(), Stats: m.c.Stats(), Now: m.e.Now(), PolicyLen: m.c.policy.Len()}
+	v := cacheView{Len: m.c.Len(), Stats: m.c.Stats(), Now: m.e.Now()}
 	if m.pool != nil {
 		v.PoolUsed = m.pool.Used()
 	}
@@ -310,7 +304,40 @@ func (m *machine) view() cacheView {
 	if broken != "" {
 		v.Broken = broken
 	}
+	order, broken := replacementOrder(m.c)
+	if broken != "" {
+		v.Broken = broken
+	}
+	v.PolicyLen = len(order)
+	for _, i := range order {
+		v.Order = append(v.Order, refEnt{id: m.c.pageID(i), ref: m.c.arena[i].ref})
+	}
 	return v
+}
+
+// replacementOrder lists the slots on the cache's replacement order,
+// from the hand round to the record before it. It reports a record
+// whose prev link does not name the one before it, and a walk that does
+// not come back to the hand.
+func replacementOrder(c *Cache) ([]int32, string) {
+	if c.hand == nilPage {
+		return nil, ""
+	}
+	var slots []int32
+	for i := c.hand; ; {
+		slots = append(slots, i)
+		next := c.arena[i].next
+		if c.arena[next].prev != i {
+			return nil, fmt.Sprintf("order: slot %d's next %d links back to %d", i, next, c.arena[next].prev)
+		}
+		if next == c.hand {
+			return slots, ""
+		}
+		if len(slots) > len(c.arena) {
+			return nil, "order: the walk from the hand does not come back to it"
+		}
+		i = next
+	}
 }
 
 // dirtyOrder lists the cache's dirty pages, oldest first: its per-disk
@@ -351,6 +378,15 @@ type refPolicy struct {
 	kind int
 	ents []refEnt
 	hand int
+}
+
+// order returns the entries from the hand on, as the cache's order
+// reads from its hand.
+func (r *refPolicy) order() []refEnt {
+	if len(r.ents) == 0 {
+		return nil
+	}
+	return append(slices.Clone(r.ents[r.hand:]), r.ents[:r.hand]...)
 }
 
 type refEnt struct {
@@ -445,7 +481,7 @@ func newRefMachine(sc cacheScenario) *refCache {
 
 func (r *refCache) view() cacheView {
 	v := cacheView{Len: len(r.pages), Stats: r.stats, Now: r.e.Now(), PolicyLen: len(r.pol.ents),
-		Dirty: append([]PageID(nil), r.dirty...)}
+		Dirty: append([]PageID(nil), r.dirty...), Order: r.pol.order()}
 	if r.pool != nil {
 		v.PoolUsed = r.pool.Used()
 	}

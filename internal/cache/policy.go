@@ -1,6 +1,5 @@
-// Package cache implements the OS file/buffer cache with pluggable
-// replacement policies. Three policies model the three platforms the
-// paper studies:
+// Package cache implements the OS file/buffer cache with three
+// replacement policies, one for each platform the paper studies:
 //
 //   - Clock: second-chance LRU approximation (Linux 2.2's page cache).
 //     Evicts in long, spatially-correlated chunks under sequential access,
@@ -11,18 +10,13 @@
 //     behavior: once the cache fills, the most recently inserted page is
 //     recycled, so early residents are "quite difficult to dislodge".
 //
-// All three track pages in intrusive index-based rings (internal/ring)
-// rather than container/list, so steady-state insert/touch/victim cycles
-// allocate nothing: a victim's arena slot is reused by the next insert.
-// A policy names pages by the cache's arena slot and finds a page's ring
-// handle in a slice indexed by that slot, so it keeps no map.
+// Each policy keeps its order in one circular list threaded through the
+// cache's page records (prev/next arena indices), the way the dirty
+// FIFOs are, so steady-state insert/touch/victim cycles allocate nothing
+// and a snapshot copies the order along with the arena.
 package cache
 
-import (
-	"slices"
-
-	"graybox/internal/ring"
-)
+import "fmt"
 
 // PageID identifies one cached file page.
 type PageID struct {
@@ -30,221 +24,103 @@ type PageID struct {
 	Index int64 // page number within the file
 }
 
-// Policy is a replacement policy over cached pages, each named by its
-// slot in the cache's page arena. Implementations need not be safe for
-// concurrent use; the simulation is single-threaded.
-type Policy interface {
-	Name() string
-	// Inserted records a newly cached page.
-	Inserted(slot int32)
-	// Touched records a hit on a cached page.
-	Touched(slot int32)
-	// Victim selects and removes the page to evict. ok is false when the
-	// policy tracks no pages.
-	Victim() (slot int32, ok bool)
-	// Removed drops a page evicted or invalidated externally.
-	Removed(slot int32)
-	// Len returns the number of tracked pages.
-	Len() int
-	// Clone returns an independent deep copy of the policy's state, for
-	// platform snapshots. The copy must reproduce eviction order exactly.
-	Clone() Policy
-}
+// Policy selects a cache's replacement policy.
+type Policy uint8
 
-// slotHandles maps arena slots to ring handles; ring.None marks a slot
-// the policy does not track.
-type slotHandles []ring.Handle
+// The policies, one per platform (see the package comment).
+const (
+	Clock     Policy = iota // Linux 2.2
+	LRU                     // NetBSD 1.5
+	HoldFirst               // Solaris 7
+)
 
-// set records slot's handle, growing the slice to reach slot. It
-// appends one None at a time: append's doubling amortizes the growth,
-// and no temporary slice is made (a race build allocates one for
-// append(s, make(...)...)).
-func (s *slotHandles) set(slot int32, h ring.Handle) {
-	for int(slot) >= len(*s) {
-		*s = append(*s, ring.None)
+var policyNames = [...]string{Clock: "clock", LRU: "lru", HoldFirst: "holdfirst"}
+
+// String returns the policy's name, which prefixes the cache's metrics.
+func (p Policy) String() string {
+	if int(p) < len(policyNames) {
+		return policyNames[p]
 	}
-	(*s)[slot] = h
+	return fmt.Sprintf("Policy(%d)", p)
 }
 
-// get returns slot's handle; None if untracked.
-func (s slotHandles) get(slot int32) ring.Handle {
-	if int(slot) >= len(s) {
-		return ring.None
-	}
-	return s[slot]
-}
+// The replacement order is a circular list through the records' prev and
+// next links, anchored at the hand (nilPage when no page is cached). For
+// Clock the hand is the clock hand; for LRU and HoldFirst it is the
+// front of the order, and its prev is the back. LRU's front is the most
+// recently used page, HoldFirst's the oldest insertion.
 
-// take returns slot's handle and forgets it; None if untracked.
-func (s slotHandles) take(slot int32) ring.Handle {
-	if int(slot) >= len(s) {
-		return ring.None
-	}
-	h := s[slot]
-	s[slot] = ring.None
-	return h
-}
-
-// --- Clock ---
-
-type clockEntry struct {
-	slot int32
-	ref  bool
-}
-
-// ClockPolicy is the classic clock (second-chance) algorithm.
-type ClockPolicy struct {
-	ring ring.List[clockEntry]
-	pos  slotHandles
-	hand ring.Handle // None when the ring is empty
-}
-
-// NewClock returns an empty clock policy.
-func NewClock() *ClockPolicy { return &ClockPolicy{} }
-
-func (c *ClockPolicy) Name() string { return "clock" }
-func (c *ClockPolicy) Len() int     { return c.ring.Len() }
-
-func (c *ClockPolicy) Inserted(slot int32) {
-	ent := clockEntry{slot: slot, ref: true}
-	var h ring.Handle
-	if c.hand == ring.None {
-		h = c.ring.PushBack(ent)
-		c.hand = h
+// inserted puts a newly cached record on the order, just before the
+// hand: Clock gives it a full sweep before it can go, LRU makes it the
+// front, and HoldFirst leaves it at the back, the next to go.
+func (c *Cache) inserted(i int32) {
+	if c.hand == nilPage {
+		c.arena[i].prev, c.arena[i].next = i, i
+		c.hand = i
 	} else {
-		// Insert just before the hand: the new page gets a full sweep
-		// before it can be victimized.
-		h = c.ring.InsertBefore(ent, c.hand)
+		c.linkBefore(i, c.hand)
 	}
-	c.pos.set(slot, h)
-}
-
-func (c *ClockPolicy) Touched(slot int32) {
-	if h := c.pos.get(slot); h != ring.None {
-		c.ring.At(h).ref = true
+	switch c.policy {
+	case Clock:
+		c.arena[i].ref = true
+	case LRU:
+		c.hand = i
 	}
 }
 
-func (c *ClockPolicy) Victim() (int32, bool) {
-	if c.ring.Len() == 0 {
+// touched records a hit on record i. HoldFirst ignores hits.
+func (c *Cache) touched(i int32) {
+	switch c.policy {
+	case Clock:
+		c.arena[i].ref = true
+	case LRU:
+		if i != c.hand {
+			c.unlink(i)
+			c.linkBefore(i, c.hand)
+			c.hand = i
+		}
+	}
+}
+
+// victim selects the record to evict and takes it off the order; ok is
+// false when no page is cached. Clock sweeps from the hand, clearing
+// reference bits, and so stops within one lap; LRU and HoldFirst take
+// the back.
+func (c *Cache) victim() (i int32, ok bool) {
+	if c.hand == nilPage {
 		return nilPage, false
 	}
-	// At most two sweeps: the first clears all reference bits, so the
-	// second must find a victim.
-	for i := 0; i < 2*c.ring.Len(); i++ {
-		ent := c.ring.At(c.hand)
-		if ent.ref {
-			ent.ref = false
-			c.hand = c.ring.NextCyclic(c.hand)
-			continue
+	i = c.arena[c.hand].prev
+	if c.policy == Clock {
+		for c.arena[c.hand].ref {
+			c.arena[c.hand].ref = false
+			c.hand = c.arena[c.hand].next
 		}
-		victim := c.hand
-		c.hand = c.ring.NextCyclic(c.hand)
-		if c.hand == victim { // last page
-			c.hand = ring.None
-		}
-		slot := c.ring.Remove(victim).slot
-		c.pos[slot] = ring.None
-		return slot, true
+		i = c.hand
 	}
-	panic("cache: clock failed to find a victim")
+	c.unlink(i)
+	return i, true
 }
 
-func (c *ClockPolicy) Clone() Policy {
-	return &ClockPolicy{ring: c.ring.Clone(), pos: slices.Clone(c.pos), hand: c.hand}
-}
-
-func (c *ClockPolicy) Removed(slot int32) {
-	h := c.pos.take(slot)
-	if h == ring.None {
+// unlink takes record i off the order; a hand on it moves to the next
+// record.
+func (c *Cache) unlink(i int32) {
+	pg := &c.arena[i]
+	if pg.next == i { // the last page
+		c.hand = nilPage
 		return
 	}
-	if c.hand == h {
-		c.hand = c.ring.NextCyclic(h)
-		if c.hand == h {
-			c.hand = ring.None
-		}
-	}
-	c.ring.Remove(h)
-}
-
-// --- LRU ---
-
-// LRUPolicy is strict least-recently-used replacement.
-type LRUPolicy struct {
-	order ring.List[int32] // front = most recent
-	pos   slotHandles
-}
-
-// NewLRU returns an empty LRU policy.
-func NewLRU() *LRUPolicy { return &LRUPolicy{} }
-
-func (l *LRUPolicy) Name() string { return "lru" }
-func (l *LRUPolicy) Len() int     { return l.order.Len() }
-
-func (l *LRUPolicy) Inserted(slot int32) { l.pos.set(slot, l.order.PushFront(slot)) }
-
-func (l *LRUPolicy) Touched(slot int32) {
-	if h := l.pos.get(slot); h != ring.None {
-		l.order.MoveToFront(h)
+	c.arena[pg.prev].next = pg.next
+	c.arena[pg.next].prev = pg.prev
+	if c.hand == i {
+		c.hand = pg.next
 	}
 }
 
-func (l *LRUPolicy) Victim() (int32, bool) {
-	back := l.order.Back()
-	if back == ring.None {
-		return nilPage, false
-	}
-	slot := l.order.Remove(back)
-	l.pos[slot] = ring.None
-	return slot, true
-}
-
-func (l *LRUPolicy) Clone() Policy {
-	return &LRUPolicy{order: l.order.Clone(), pos: slices.Clone(l.pos)}
-}
-
-func (l *LRUPolicy) Removed(slot int32) {
-	if h := l.pos.take(slot); h != ring.None {
-		l.order.Remove(h)
-	}
-}
-
-// --- HoldFirst ---
-
-// HoldFirstPolicy retains pages in insertion order and recycles the most
-// recently inserted page, so the earliest residents are effectively
-// pinned. Touches do not reorder anything.
-type HoldFirstPolicy struct {
-	order ring.List[int32] // front = oldest insertion
-	pos   slotHandles
-}
-
-// NewHoldFirst returns an empty hold-first policy.
-func NewHoldFirst() *HoldFirstPolicy { return &HoldFirstPolicy{} }
-
-func (h *HoldFirstPolicy) Name() string { return "holdfirst" }
-func (h *HoldFirstPolicy) Len() int     { return h.order.Len() }
-
-func (h *HoldFirstPolicy) Inserted(slot int32) { h.pos.set(slot, h.order.PushBack(slot)) }
-
-func (h *HoldFirstPolicy) Touched(slot int32) {}
-
-func (h *HoldFirstPolicy) Victim() (int32, bool) {
-	back := h.order.Back()
-	if back == ring.None {
-		return nilPage, false
-	}
-	slot := h.order.Remove(back)
-	h.pos[slot] = ring.None
-	return slot, true
-}
-
-func (h *HoldFirstPolicy) Clone() Policy {
-	return &HoldFirstPolicy{order: h.order.Clone(), pos: slices.Clone(h.pos)}
-}
-
-func (h *HoldFirstPolicy) Removed(slot int32) {
-	if hd := h.pos.take(slot); hd != ring.None {
-		h.order.Remove(hd)
-	}
+// linkBefore links record i into the order just before record at.
+func (c *Cache) linkBefore(i, at int32) {
+	prev := c.arena[at].prev
+	c.arena[i].prev, c.arena[i].next = prev, at
+	c.arena[prev].next = i
+	c.arena[at].prev = i
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "graybox/internal/disk"
+import (
+	"fmt"
+
+	"graybox/internal/disk"
+)
 
 // Snapshot is a deep copy of a cache's contents, taken with
 // Cache.Snapshot and restored into a fresh cache with Cache.Restore.
@@ -13,21 +17,25 @@ type Snapshot struct {
 }
 
 // Snapshot deep-copies the cache's state: the page arena (with its free
-// list and per-disk dirty FIFOs intact), the page index, the disk table,
-// the counters, and the replacement policy. The disk table's pointers
-// are captured as-is; Restore remaps them into the destination machine.
+// list, replacement order and per-disk dirty FIFOs intact), the page
+// index, the disk table and the counters. The disk table's pointers are
+// captured as-is; Restore remaps them into the destination machine.
 func (c *Cache) Snapshot() *Snapshot {
-	return &Snapshot{st: c.state.clone(0), policy: c.policy.Clone()}
+	return &Snapshot{st: c.state.clone(0), policy: c.policy}
 }
 
 // Restore fills a freshly built, empty cache from s. remap translates
 // each disk in the captured disk table to the destination machine's
 // corresponding disk (snapshots hold pointers into the source machine).
 // For pool-backed caches the restored pages' frames are grabbed from the
-// destination pool, so pool accounting matches the source exactly.
+// destination pool, so pool accounting matches the source exactly. The
+// cache must have the snapshot's policy.
 func (c *Cache) Restore(s *Snapshot, remap func(*disk.Disk) *disk.Disk) {
 	if c.resident != 0 || len(c.arena) != 0 {
 		panic("cache: Restore into a non-empty cache")
+	}
+	if s.policy != c.policy {
+		panic(fmt.Sprintf("cache: Restore of a snapshot with policy %v into a cache with policy %v", s.policy, c.policy))
 	}
 	// Reserve the room the arena's first doubling would add, so a trial
 	// that caches more than its snapshot held does not copy the whole
@@ -38,7 +46,6 @@ func (c *Cache) Restore(s *Snapshot, remap func(*disk.Disk) *disk.Disk) {
 			c.disks[k].d = remap(d)
 		}
 	}
-	c.policy = s.policy.Clone()
 	if !c.cfg.PrivateFrames {
 		for range c.resident {
 			if !c.pool.TryGrabFrame() {

@@ -113,7 +113,7 @@ func decodeFSScenario(data []byte) fsScenario {
 // cache, with frames to spare so no page is ever reclaimed.
 func newFuzzFS(e *sim.Engine, sc fsScenario) *FS {
 	pool := mem.NewPool(e, 1024)
-	c := cache.New(e, cache.Config{}, cache.NewClock(), pool)
+	c := cache.New(e, cache.Config{}, cache.Clock, pool)
 	pool.AddShrinker(c)
 	return New(e, disk.New(e, sc.disk), c, sc.cfg)
 }

@@ -1,8 +1,8 @@
 // Package ring provides an intrusive, index-based doubly linked list
 // backed by a slice arena with a free list. It replaces container/list on
-// the simulated kernel's per-page hot paths (cache CLOCK ring, dirty
-// FIFO, VM page-daemon clock, AFS and shadow LRUs), where allocating a
-// heap node per tracked page made large sweeps GC-bound.
+// the simulated kernel's hot paths (the VM page daemon's clock, the AFS,
+// stash and shadow-detector LRUs, the SMP run queues), where allocating
+// a heap node per tracked element made large sweeps GC-bound.
 //
 // Nodes live in one contiguous slice; links are int32 indices into that
 // slice, and removed nodes go onto an internal free list for reuse. Once
@@ -181,27 +181,7 @@ func (l *List[T]) NextCyclic(h Handle) Handle {
 	return Handle(n)
 }
 
-// Clone returns an independent copy of the list: same elements, same
-// order, and — because the copy reproduces the arena slot-for-slot —
-// the same handles. Values are copied with Go assignment, so element
-// types holding pointers alias the original's referents; the kernel's
-// snapshot path only clones lists of value types (page IDs, clock
-// entries).
-func (l *List[T]) Clone() List[T] {
-	var c List[T]
-	l.CloneInto(&c)
-	return c
-}
-
-// CloneInto overwrites dst with a copy of l, reusing dst's arena
-// capacity when it suffices — the allocation-free path for snapshot
-// pools that restore into recycled lists.
-func (l *List[T]) CloneInto(dst *List[T]) {
-	dst.nodes = append(dst.nodes[:0], l.nodes...)
-	dst.free = l.free
-	dst.len = l.len
-}
-
+// At returns a pointer to h's value. The pointer is invalidated by any
 // insertion (the arena may grow); do not hold it across one.
 func (l *List[T]) At(h Handle) *T { return &l.nodes[h].val }
 

@@ -179,65 +179,6 @@ func TestMoveToFrontSingle(t *testing.T) {
 	}
 }
 
-// TestClone checks Clone produces an equal, independent list with stable
-// handles.
-func TestClone(t *testing.T) {
-	var l List[int]
-	hs := make([]Handle, 8)
-	for i := range hs {
-		hs[i] = l.PushBack(i)
-	}
-	l.Remove(hs[3]) // leave a free-list hole so Clone copies that too
-	l.MoveToFront(hs[6])
-
-	c := l.Clone()
-	if got, want := collect(&c), collect(&l); !equal(got, want) {
-		t.Fatalf("clone order %v, want %v", got, want)
-	}
-	// Handles remain valid and point at the same values in the clone.
-	for i, h := range hs {
-		if i == 3 {
-			continue
-		}
-		if *c.At(h) != i {
-			t.Fatalf("clone At(hs[%d]) = %d, want %d", i, *c.At(h), i)
-		}
-	}
-	// Mutating the clone leaves the original untouched, and the clone's
-	// free list works: two holes (hs[3] copied from the original, hs[0]
-	// removed here) absorb two pushes without growing the arena.
-	c.Remove(hs[0])
-	arena := len(c.nodes)
-	c.PushBack(100)
-	c.PushBack(101)
-	if len(c.nodes) != arena {
-		t.Fatalf("clone free list broken: arena %d -> %d across two pushes into two holes", arena, len(c.nodes))
-	}
-	if got := collect(&l); !equal(got, []int{6, 0, 1, 2, 4, 5, 7}) {
-		t.Fatalf("original disturbed by clone mutation: %v", got)
-	}
-}
-
-// TestCloneIntoAllocs is the snapshot path's contract: restoring into a
-// previously sized destination allocates nothing.
-func TestCloneIntoAllocs(t *testing.T) {
-	var l List[int]
-	for i := 0; i < 256; i++ {
-		l.PushBack(i)
-	}
-	var dst List[int]
-	l.CloneInto(&dst) // size the destination once
-	allocs := testing.AllocsPerRun(100, func() {
-		l.CloneInto(&dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("CloneInto steady-state allocs/op = %v, want 0", allocs)
-	}
-	if got, want := collect(&dst), collect(&l); !equal(got, want) {
-		t.Fatalf("CloneInto order %v, want %v", got, want)
-	}
-}
-
 func TestSlotReuse(t *testing.T) {
 	var l List[int]
 	h := l.PushBack(1)

@@ -181,17 +181,17 @@ func New(cfg Config) *System {
 			Capacity:      cfg.NetBSDCacheMB * MB / pageSize,
 			PrivateFrames: true,
 			MaxDirty:      maxDirty,
-		}, cache.NewLRU(), nil)
+		}, cache.LRU, nil)
 	case Solaris7:
 		s.Cache = cache.New(e, cache.Config{
 			FloorPages: cfg.CacheFloorMB * MB / pageSize,
 			MaxDirty:   maxDirty,
-		}, cache.NewHoldFirst(), pool)
+		}, cache.HoldFirst, pool)
 	case Linux22:
 		s.Cache = cache.New(e, cache.Config{
 			FloorPages: cfg.CacheFloorMB * MB / pageSize,
 			MaxDirty:   maxDirty,
-		}, cache.NewClock(), pool)
+		}, cache.Clock, pool)
 	default:
 		panic(fmt.Sprintf("simos: unknown personality %q", cfg.Personality))
 	}
