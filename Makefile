@@ -33,12 +33,15 @@ race:
 
 # Fuzz the engine's event order against a sorted-slice reference model,
 # cache operation sequences against a map-based reference cache, file
-# system operation sequences against a model of its allocators, and the
-# quantile sketch's merge algebra and error bounds against sorted samples.
+# system operation sequences against a model of its allocators, the
+# quantile sketch's merge algebra and error bounds against sorted samples,
+# and gb-experiments' argument parsing (a rejected command line must leave
+# the process-wide -workload and -cpus selections as they were).
 # Plain `go test` runs only the committed seed corpora
 # (testdata/fuzz/FuzzEngineOrder in internal/sim, testdata/fuzz/FuzzCacheOps
 # in internal/cache, testdata/fuzz/FuzzFSOps in internal/fs,
-# testdata/fuzz/FuzzSketch in internal/telemetry). Minimizing
+# testdata/fuzz/FuzzSketch in internal/telemetry,
+# testdata/fuzz/FuzzParseConfig in cmd/gb-experiments). Minimizing
 # each new input is capped at 1 s: CI keeps no fuzz corpus between runs,
 # so minimizing only spends the budget, and uncapped it stalls the
 # search for seconds at a time.
@@ -47,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/cache -run NONE -fuzz FuzzCacheOps -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/fs -run NONE -fuzz FuzzFSOps -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/telemetry -run NONE -fuzz FuzzSketch -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./cmd/gb-experiments -run NONE -fuzz FuzzParseConfig -fuzztime 30s -fuzzminimizetime 1s
 
 vet:
 	$(GO) vet ./...

@@ -93,24 +93,19 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		for i, n := range names {
 			names[i] = strings.TrimSpace(n)
 		}
-		if err := experiments.SetNoiseWorkloads(names); err != nil {
-			return nil, err
-		}
 		c.workloads = names
 	}
 	if *cpusList != "" {
-		var cpus []int
 		for _, part := range strings.Split(*cpusList, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return nil, fmt.Errorf("-cpus %q: %v", *cpusList, err)
 			}
-			cpus = append(cpus, n)
+			if n < 0 {
+				return nil, fmt.Errorf("-cpus %q: negative cpu count %d", *cpusList, n)
+			}
+			c.cpus = append(c.cpus, n)
 		}
-		if err := experiments.SetCPUList(cpus); err != nil {
-			return nil, fmt.Errorf("-cpus %q: %v", *cpusList, err)
-		}
-		c.cpus = cpus
 	}
 
 	if ids := fs.Args(); len(ids) > 0 {
@@ -123,6 +118,21 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		}
 	} else {
 		c.runners = experiments.All()
+	}
+
+	// The selections are process-wide: apply them only once every other
+	// argument is valid, so a rejected command line leaves them as they
+	// were. The workload names are checked as they are applied, and the
+	// cpu counts were checked above, so a failure applies neither.
+	if c.workloads != nil {
+		if err := experiments.SetNoiseWorkloads(c.workloads); err != nil {
+			return nil, err
+		}
+	}
+	if c.cpus != nil {
+		if err := experiments.SetCPUList(c.cpus); err != nil {
+			return nil, fmt.Errorf("-cpus %q: %v", *cpusList, err)
+		}
 	}
 	return c, nil
 }

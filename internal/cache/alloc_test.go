@@ -14,11 +14,10 @@ import (
 // allocate. A regression here means a container/list (or equivalent
 // per-page heap node) crept back in.
 
-// newAllocCache builds a private-frames cache of cap pages pre-filled to
+// newAllocCache builds a private cache of cap pages pre-filled to
 // capacity, so every subsequent operation runs in steady state.
 func newAllocCache(policy Policy, capacity int) *Cache {
-	e := sim.NewEngine(1)
-	c := New(e, Config{Capacity: capacity, PrivateFrames: true, MaxDirty: 1 << 20}, policy, nil)
+	c := New(Config{Capacity: capacity, MaxDirty: 1 << 20}, policy, nil)
 	for i := int64(0); i < int64(capacity); i++ {
 		c.Insert(nil, pid(1, i), BlockAddr{}, false)
 	}
@@ -113,13 +112,12 @@ func TestMarkDirtyCleanCycleAllocs(t *testing.T) {
 // copy the arena again on its first new page.
 func TestRestoreReservesArenaGrowth(t *testing.T) {
 	for _, tc := range []struct{ pages, wantCap int }{{0, 0}, {20, 40}, {48, 64}, {64, 64}} {
-		e := sim.NewEngine(1)
-		cfg := Config{Capacity: 64, PrivateFrames: true}
-		src := New(e, cfg, Clock, nil)
+		cfg := Config{Capacity: 64}
+		src := New(cfg, Clock, nil)
 		for i := range tc.pages {
 			src.Insert(nil, pid(1, int64(i)), BlockAddr{}, false)
 		}
-		dst := New(e, cfg, Clock, nil)
+		dst := New(cfg, Clock, nil)
 		dst.Restore(src.Snapshot(), func(d *disk.Disk) *disk.Disk { return d })
 		if got := cap(dst.arena); got != tc.wantCap {
 			t.Errorf("%d pages: restored arena capacity %d, want %d", tc.pages, got, tc.wantCap)
@@ -161,8 +159,8 @@ func BenchmarkCacheRestore(b *testing.B) {
 	const files, pages = 96, 256
 	e := sim.NewEngine(1)
 	disks := []*disk.Disk{disk.New(e, disk.DefaultParams()), disk.New(e, disk.DefaultParams())}
-	cfg := Config{Capacity: files * pages, PrivateFrames: true, MaxDirty: files * pages}
-	c := New(e, cfg, Clock, nil)
+	cfg := Config{Capacity: files * pages, MaxDirty: files * pages}
+	c := New(cfg, Clock, nil)
 	for f := int64(0); f < files; f++ {
 		for pg := int64(0); pg < pages; pg++ {
 			c.Insert(nil, pid(f+1, pg), BlockAddr{Disk: disks[f%2], Block: f*pages + pg}, pg%8 == 0)
@@ -173,6 +171,6 @@ func BenchmarkCacheRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(e, cfg, Clock, nil).Restore(snap, same)
+		New(cfg, Clock, nil).Restore(snap, same)
 	}
 }

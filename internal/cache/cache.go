@@ -20,16 +20,13 @@ type BlockAddr struct {
 
 // Config sets a cache's size behavior.
 type Config struct {
-	// Capacity caps the number of cached pages. Zero means "no private
-	// cap" (the shared frame pool is the only limit), which is the
-	// Linux/Solaris unified-cache configuration.
+	// Capacity is the number of frames a cache without a pool owns,
+	// outside physical memory (NetBSD 1.5's fixed-size buffer cache). A
+	// pool-backed cache (the Linux/Solaris unified cache) leaves it 0:
+	// the pool is its only limit.
 	Capacity int
-	// PrivateFrames, when true, gives the cache its own frames outside
-	// the pool (NetBSD 1.5's fixed-size buffer cache). Capacity must be
-	// set.
-	PrivateFrames bool
-	// FloorPages is the minimum residency the cache defends against pool
-	// reclaim (ignored for private frames).
+	// FloorPages is the minimum residency a pool-backed cache defends
+	// against pool reclaim.
 	FloorPages int
 	// MaxDirty throttles writers: beyond this many dirty pages, the
 	// dirtying process synchronously cleans pages (bdflush-style).
@@ -120,9 +117,8 @@ type state struct {
 
 // Cache is the simulated OS file cache.
 type Cache struct {
-	e      *sim.Engine
 	cfg    Config
-	pool   *mem.Pool
+	pool   *mem.Pool // nil when the cache owns its frames
 	policy Policy
 
 	state
@@ -133,13 +129,15 @@ type Cache struct {
 	telOccupancy, telDirty   *telemetry.Gauge
 }
 
-// New creates a cache backed by pool (may be nil when PrivateFrames).
-func New(e *sim.Engine, cfg Config, policy Policy, pool *mem.Pool) *Cache {
-	if cfg.PrivateFrames && cfg.Capacity <= 0 {
-		panic("cache: private frames require a capacity")
+// New creates a cache. With a nil pool the cache owns cfg.Capacity
+// frames; with a pool it takes its frames from the pool, which sizes it,
+// and cfg.Capacity must be 0.
+func New(cfg Config, policy Policy, pool *mem.Pool) *Cache {
+	if pool == nil && cfg.Capacity <= 0 {
+		panic(fmt.Sprintf("cache: a cache without a pool needs a positive capacity, not %d", cfg.Capacity))
 	}
-	if !cfg.PrivateFrames && pool == nil {
-		panic("cache: pool-backed cache requires a pool")
+	if pool != nil && cfg.Capacity != 0 {
+		panic(fmt.Sprintf("cache: a pool-backed cache is sized by its pool, not by capacity %d", cfg.Capacity))
 	}
 	if int(policy) >= len(policyNames) {
 		panic(fmt.Sprintf("cache: unknown policy %d", policy))
@@ -148,7 +146,7 @@ func New(e *sim.Engine, cfg Config, policy Policy, pool *mem.Pool) *Cache {
 		cfg.MaxDirty = 1 << 30 // effectively unthrottled
 	}
 	return &Cache{
-		e: e, cfg: cfg, pool: pool, policy: policy,
+		cfg: cfg, pool: pool, policy: policy,
 		state: state{freePage: nilPage, hand: nilPage, files: make(map[int64]int32)},
 	}
 }
@@ -174,9 +172,6 @@ func (c *Cache) telSync() {
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Len returns the number of cached pages.
 func (c *Cache) Len() int { return c.resident }
@@ -281,13 +276,18 @@ func (c *Cache) addr(i int32) BlockAddr {
 // longest its arena can grow: an insert grows the arena only when no
 // evicted slot is free.
 func (c *Cache) maxPages() int {
-	if c.cfg.PrivateFrames {
+	if c.pool == nil {
 		return c.cfg.Capacity
 	}
-	if c.cfg.Capacity > 0 {
-		return min(c.cfg.Capacity, c.pool.Capacity())
-	}
 	return c.pool.Capacity()
+}
+
+// returnFrames gives n frames back to the pool; a cache without a pool
+// keeps its own.
+func (c *Cache) returnFrames(n int) {
+	if c.pool != nil && n > 0 {
+		c.pool.ReturnFrames(n)
+	}
 }
 
 // allocPage returns an arena slot for a new record, reusing the free
@@ -353,29 +353,20 @@ func (c *Cache) Insert(p *sim.Proc, id PageID, addr BlockAddr, dirty bool) {
 	// while it sleeps another process may insert this same page — so the
 	// index is re-checked below before the record is created (a second
 	// record for the page would later be a victim the index no longer has).
-	if c.cfg.PrivateFrames {
+	if c.pool == nil {
 		for c.resident >= c.cfg.Capacity {
 			if !c.EvictOne(p) {
 				panic("cache: private cache cannot evict")
 			}
 		}
 	} else {
-		if c.cfg.Capacity > 0 {
-			for c.resident >= c.cfg.Capacity {
-				if !c.EvictOne(p) {
-					panic("cache: capped cache cannot evict")
-				}
-			}
-		}
 		c.pool.GrabFrame(p)
 	}
 	f, i := c.lookup(id)
 	if i != nilPage {
 		// Lost the race: the page arrived while p slept. Fold into the
 		// existing record and return the frame just obtained.
-		if !c.cfg.PrivateFrames {
-			c.pool.ReturnFrames(1)
-		}
+		c.returnFrames(1)
 		if dirty {
 			c.markDirty(i)
 			c.telSync()
@@ -510,9 +501,7 @@ func (c *Cache) EvictOne(p *sim.Proc) bool {
 	c.telSync()
 	// The frame is logically free once a write-back is issued; return it
 	// before sleeping so the waiting allocator can proceed.
-	if !c.cfg.PrivateFrames {
-		c.pool.ReturnFrames(1)
-	}
+	c.returnFrames(1)
 	if wasDirty {
 		c.stats.Writebacks++
 		c.telWrbacks.Inc()
@@ -535,7 +524,7 @@ func (c *Cache) Name() string { return "filecache" }
 
 // Held implements mem.Shrinker.
 func (c *Cache) Held() int {
-	if c.cfg.PrivateFrames {
+	if c.pool == nil {
 		return 0 // holds no pool frames
 	}
 	return c.resident
@@ -553,9 +542,7 @@ func (c *Cache) InvalidateFile(ino int64) {
 	}
 	n := c.dropFile(f)
 	c.telSync()
-	if !c.cfg.PrivateFrames {
-		c.pool.ReturnFrames(n)
-	}
+	c.returnFrames(n)
 }
 
 // dropFile discards every cached page of file entry f in page order,
@@ -588,9 +575,7 @@ func (c *Cache) Drop() {
 		}
 	}
 	c.telSync()
-	if !c.cfg.PrivateFrames && n > 0 {
-		c.pool.ReturnFrames(n)
-	}
+	c.returnFrames(n)
 }
 
 // PresenceBitmap reports, for each of the first npages pages of ino,

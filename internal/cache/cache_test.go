@@ -16,7 +16,7 @@ func pid(ino, idx int64) PageID { return PageID{Ino: ino, Index: idx} }
 
 // --- Replacement order ---
 //
-// These tests drive each policy through a private-frames cache. Page k
+// These tests drive each policy through a private cache. Page k
 // is the only page of inode k+1, so InvalidateFile removes exactly that
 // page, and pages inserted into a fresh cache take arena slots 0, 1, 2…
 // in order.
@@ -24,7 +24,7 @@ func pid(ino, idx int64) PageID { return PageID{Ino: ino, Index: idx} }
 type orderCache struct{ *Cache }
 
 func newOrderCache(policy Policy) orderCache {
-	return orderCache{New(sim.NewEngine(1), Config{Capacity: 1 << 10, PrivateFrames: true}, policy, nil)}
+	return orderCache{New(Config{Capacity: 1 << 10}, policy, nil)}
 }
 
 func orderPage(k int) PageID { return PageID{Ino: int64(k) + 1} }
@@ -228,15 +228,18 @@ type harness struct {
 	c    *Cache
 }
 
+// newHarness builds a cache on one disk: a private cache of
+// cfg.Capacity frames when poolFrames is 0, else a cache backed by a
+// pool of poolFrames frames.
 func newHarness(t *testing.T, cfg Config, policy Policy, poolFrames int) *harness {
 	t.Helper()
 	e := sim.NewEngine(1)
 	d := disk.New(e, disk.DefaultParams())
 	var pool *mem.Pool
-	if !cfg.PrivateFrames {
-		pool = mem.NewPool(e, poolFrames)
+	if poolFrames > 0 {
+		pool = mem.NewPool(poolFrames)
 	}
-	c := New(e, cfg, policy, pool)
+	c := New(cfg, policy, pool)
 	if pool != nil {
 		pool.AddShrinker(c)
 	}
@@ -271,7 +274,7 @@ func TestCacheInsertLookup(t *testing.T) {
 }
 
 func TestCacheCapacityNeverExceeded(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 8}, Clock, 100)
+	h := newHarness(t, Config{Capacity: 8}, Clock, 0)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 50; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), false)
@@ -286,7 +289,7 @@ func TestCacheCapacityNeverExceeded(t *testing.T) {
 }
 
 func TestCachePrivateFrames(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 4, PrivateFrames: true}, LRU, 0)
+	h := newHarness(t, Config{Capacity: 4}, LRU, 0)
 	h.run(func(p *sim.Proc) {
 		for i := int64(0); i < 10; i++ {
 			h.c.Insert(p, pid(1, i), h.addr(i), false)
@@ -323,7 +326,7 @@ func TestCacheEvictionViaPoolPressure(t *testing.T) {
 }
 
 func TestDirtyWritebackOnEvict(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 2}, Clock, 10)
+	h := newHarness(t, Config{Capacity: 2}, Clock, 0)
 	h.run(func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(0), true)
 		h.c.Insert(p, pid(1, 1), h.addr(1), false)
@@ -450,9 +453,10 @@ func TestDirtyGaugeFollowsReinsert(t *testing.T) {
 // replacement policy a second time — a duplicate policy entry later
 // surfaces as a victim the index no longer knows, which panics EvictOne.
 // Regression test: the SMP scheduler's contended Compute made this
-// interleaving reachable in the noise sweep.
+// interleaving reachable in the noise sweep. The cache is pool-backed,
+// the Linux path: a pool of two frames makes the third insert reclaim.
 func TestConcurrentSameInsertFoldsIntoExisting(t *testing.T) {
-	h := newHarness(t, Config{Capacity: 2}, LRU, 100)
+	h := newHarness(t, Config{}, LRU, 2)
 	dup := pid(9, 9)
 	a := h.e.Go("a", func(p *sim.Proc) {
 		h.c.Insert(p, pid(1, 0), h.addr(0), true) // dirty: its eviction parks
@@ -548,6 +552,21 @@ func TestRestorePolicyMismatchPanics(t *testing.T) {
 
 func TestNewUnknownPolicyPanics(t *testing.T) {
 	wantPanic(t, "unknown policy 3", func() {
-		New(sim.NewEngine(1), Config{Capacity: 4, PrivateFrames: true}, Policy(3), nil)
+		New(Config{Capacity: 4}, Policy(3), nil)
+	})
+}
+
+// TestNewFrameOwnershipPanics: a cache either owns Capacity frames or
+// takes its frames from a pool, which sizes it. A cache with neither, or
+// with both, is a caller bug.
+func TestNewFrameOwnershipPanics(t *testing.T) {
+	wantPanic(t, "without a pool needs a positive capacity, not 0", func() {
+		New(Config{}, Clock, nil)
+	})
+	wantPanic(t, "without a pool needs a positive capacity, not -1", func() {
+		New(Config{Capacity: -1}, LRU, nil)
+	})
+	wantPanic(t, "sized by its pool, not by capacity 4", func() {
+		New(Config{Capacity: 4}, Clock, mem.NewPool(8))
 	})
 }

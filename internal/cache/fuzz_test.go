@@ -116,10 +116,10 @@ type cacheScenario struct {
 
 // decodeCacheScenario reads data as
 //
-//	b0  policy b0%3, private frames (b0/3)&1, disks (b0/6)%3+1
-//	b1  capacity b1%10+2; a pool-backed cache with bit 7 set is uncapped
+//	b0  policy b0%3, a private cache when (b0/3)&1, disks (b0/6)%3+1
+//	b1  a private cache's capacity b1%10+2
 //	b2  MaxDirty b2%8+1; bit 7 set leaves writers unthrottled
-//	b3  pool frames b3%12+3, FloorPages (b3>>4)%4
+//	b3  a pool-backed cache's pool frames b3%12+3 and FloorPages (b3>>4)%4
 //	then three bytes per op: kind (%numFops), a, b
 //
 // Missing bytes read as zero.
@@ -134,12 +134,9 @@ func decodeCacheScenario(data []byte) cacheScenario {
 	}
 	b0, b1, b2, b3 := next(), next(), next(), next()
 	sc := cacheScenario{policy: int(b0 % 3), disks: int(b0/6)%3 + 1, poolFrames: int(b3%12) + 3}
-	sc.cfg.PrivateFrames = (b0/3)&1 == 1
-	sc.cfg.Capacity = int(b1%10) + 2
-	if !sc.cfg.PrivateFrames {
-		if b1&0x80 != 0 {
-			sc.cfg.Capacity = 0
-		}
+	if (b0/3)&1 == 1 {
+		sc.cfg.Capacity = int(b1%10) + 2
+	} else {
 		sc.cfg.FloorPages = int(b3>>4) % 4
 	}
 	if b2&0x80 == 0 {
@@ -156,7 +153,7 @@ func decodeCacheScenario(data []byte) cacheScenario {
 type platform struct {
 	e     *sim.Engine
 	disks []*disk.Disk
-	pool  *mem.Pool // nil for private frames
+	pool  *mem.Pool // nil for a private cache
 }
 
 func newPlatform(sc cacheScenario) platform {
@@ -165,8 +162,8 @@ func newPlatform(sc cacheScenario) platform {
 	for i := 0; i < sc.disks; i++ {
 		pl.disks = append(pl.disks, disk.New(e, disk.DefaultParams()))
 	}
-	if !sc.cfg.PrivateFrames {
-		pl.pool = mem.NewPool(e, sc.poolFrames)
+	if sc.cfg.Capacity == 0 { // a cache with no frames of its own
+		pl.pool = mem.NewPool(sc.poolFrames)
 	}
 	return pl
 }
@@ -201,7 +198,7 @@ type machine struct {
 
 func newMachine(sc cacheScenario) *machine {
 	m := &machine{sc: sc, platform: newPlatform(sc)}
-	m.c = New(m.e, sc.cfg, Policy(sc.policy), m.pool)
+	m.c = New(sc.cfg, Policy(sc.policy), m.pool)
 	if m.pool != nil {
 		m.pool.AddShrinker(m.c)
 	}
@@ -553,12 +550,13 @@ func (r *refCache) apply(op cacheOp) error {
 
 func (r *refCache) insert(p *sim.Proc, id PageID, addr BlockAddr, dirty bool) {
 	if _, ok := r.pages[id]; !ok {
-		for r.sc.cfg.Capacity > 0 && len(r.pages) >= r.sc.cfg.Capacity {
-			if !r.EvictOne(p) {
-				panic("reference: cannot evict")
+		if r.pool == nil {
+			for len(r.pages) >= r.sc.cfg.Capacity {
+				if !r.EvictOne(p) {
+					panic("reference: cannot evict")
+				}
 			}
-		}
-		if r.pool != nil {
+		} else {
 			r.pool.GrabFrame(p)
 		}
 		if _, ok := r.pages[id]; ok {

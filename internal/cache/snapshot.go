@@ -46,7 +46,7 @@ func (c *Cache) Restore(s *Snapshot, remap func(*disk.Disk) *disk.Disk) {
 			c.disks[k].d = remap(d)
 		}
 	}
-	if !c.cfg.PrivateFrames {
+	if c.pool != nil {
 		for range c.resident {
 			if !c.pool.TryGrabFrame() {
 				panic("cache: Restore exceeds destination pool capacity")

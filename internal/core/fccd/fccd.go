@@ -131,14 +131,6 @@ func (d *Detector) ProbeCost() probe.Cost { return d.meter.Cost() }
 // AccessUnit returns the configured access unit in bytes.
 func (d *Detector) AccessUnit() int64 { return d.cfg.AccessUnit }
 
-// align rounds off down to the configured boundary.
-func (d *Detector) align(off int64) int64 {
-	if d.cfg.Boundary > 1 {
-		off -= off % d.cfg.Boundary
-	}
-	return off
-}
-
 // probeRange times one random-byte probe in [off, off+length).
 func (d *Detector) probeRange(fd *simos.Fd, off, length int64) (sim.Time, error) {
 	target := off + d.rng.Int63n(length)

@@ -53,11 +53,10 @@ func (l *Layer) stat(path string) (st fs.Stat, err error) {
 	return st, nil
 }
 
-// fileInfo pairs a path with its stat result.
+// fileInfo pairs a path with its i-number.
 type fileInfo struct {
 	path string
 	ino  int64
-	size int64
 }
 
 func (l *Layer) statAll(paths []string) ([]fileInfo, error) {
@@ -67,7 +66,7 @@ func (l *Layer) statAll(paths []string) ([]fileInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		infos = append(infos, fileInfo{path: p, ino: int64(st.Ino), size: st.Size})
+		infos = append(infos, fileInfo{path: p, ino: int64(st.Ino)})
 	}
 	return infos, nil
 }
@@ -176,6 +175,12 @@ const copyChunk = 1 << 20
 // them over in sorted order; fix up times; delete the old directory;
 // rename the temporary one into place.
 func (l *Layer) Refresh(dir string, order RefreshOrder) error {
+	return l.refresh(dir, order, CrashNone)
+}
+
+// refresh runs Refresh's six steps, stopping with an injected crash at
+// the point crash names (repair.go); CrashNone runs them all.
+func (l *Layer) refresh(dir string, order RefreshOrder, crash CrashPoint) error {
 	os := l.os
 	os.Proc().Track().Begin("icl", "fldc refresh")
 	defer os.Proc().Track().End()
@@ -183,53 +188,60 @@ func (l *Layer) Refresh(dir string, order RefreshOrder) error {
 	if err != nil {
 		return err
 	}
-	infos := make([]fileInfo, 0, len(names))
-	type times struct{ atime, mtime sim.Time }
-	saved := make(map[string]times)
+	type entry struct {
+		name         string
+		size         int64
+		atime, mtime sim.Time
+	}
+	files := make([]entry, 0, len(names))
 	for _, n := range names {
 		st, err := l.stat(dir + "/" + n)
 		if err != nil {
 			return err
 		}
-		infos = append(infos, fileInfo{path: n, ino: int64(st.Ino), size: st.Size})
-		saved[n] = times{st.Atime, st.Mtime}
+		files = append(files, entry{name: n, size: st.Size, atime: st.Atime, mtime: st.Mtime})
 	}
 
 	switch order {
 	case ByName:
-		sort.Slice(infos, func(a, b int) bool { return infos[a].path < infos[b].path })
+		sort.Slice(files, func(a, b int) bool { return files[a].name < files[b].name })
 	default: // BySize, smallest first; names break ties deterministically
-		sort.Slice(infos, func(a, b int) bool {
-			if infos[a].size != infos[b].size {
-				return infos[a].size < infos[b].size
+		sort.Slice(files, func(a, b int) bool {
+			if files[a].size != files[b].size {
+				return files[a].size < files[b].size
 			}
-			return infos[a].path < infos[b].path
+			return files[a].name < files[b].name
 		})
 	}
 
 	// Step 1: temporary directory at the same level.
-	tmp := dir + ".gbrefresh"
+	tmp := dir + refreshSuffix
 	if err := os.Mkdir(tmp); err != nil {
 		return fmt.Errorf("fldc: refresh: %w", err)
 	}
 	// Steps 2-4: copy in sorted order; restore times.
-	for _, fi := range infos {
-		if err := l.copyFile(dir+"/"+fi.path, tmp+"/"+fi.path); err != nil {
+	for i, f := range files {
+		if crash == CrashDuringCopy && i == len(files)/2 {
+			return fmt.Errorf("%w during copy of %q", errCrash, f.name)
+		}
+		if err := l.copyFile(dir+"/"+f.name, tmp+"/"+f.name); err != nil {
 			return err
 		}
-		tm := saved[fi.path]
-		if err := os.Utimes(tmp+"/"+fi.path, tm.atime, tm.mtime); err != nil {
+		if err := os.Utimes(tmp+"/"+f.name, f.atime, f.mtime); err != nil {
 			return err
 		}
 	}
 	// Step 5: delete the old directory.
-	for _, fi := range infos {
-		if err := os.Unlink(dir + "/" + fi.path); err != nil {
+	for _, f := range files {
+		if err := os.Unlink(dir + "/" + f.name); err != nil {
 			return err
 		}
 	}
 	if err := os.Rmdir(dir); err != nil {
 		return err
+	}
+	if crash == CrashAfterDelete {
+		return fmt.Errorf("%w after delete, before rename", errCrash)
 	}
 	// Step 6: rename into place.
 	return os.Rename(tmp, dir)

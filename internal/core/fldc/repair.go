@@ -1,7 +1,7 @@
 package fldc
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 
 	"graybox/internal/simos"
@@ -13,8 +13,9 @@ import (
 // that looks for a certain directory signature and patches up problems."
 //
 // This file implements that script (RepairRefresh) plus a crash-injected
-// refresh (RefreshWithCrash) so the recovery path can be tested: the
-// temporary directory's ".gbrefresh" suffix is the signature.
+// refresh (RefreshWithCrash, Refresh's own steps with two crash points)
+// so the recovery path can be tested: the temporary directory's
+// ".gbrefresh" suffix is the signature.
 
 // refreshSuffix marks an in-progress refresh directory.
 const refreshSuffix = ".gbrefresh"
@@ -33,77 +34,19 @@ const (
 )
 
 // errCrash distinguishes the injected crash from real failures.
-var errCrash = fmt.Errorf("fldc: injected crash")
+var errCrash = errors.New("fldc: injected crash")
 
 // RefreshWithCrash is Refresh with fault injection for testing the
-// repair script. It returns errCrash-wrapped errors at the requested
+// repair script. It returns an error wrapping errCrash at the requested
 // point; the file system is left exactly as a real crash would leave it
 // (modulo the write-behind cache, which tests flush or drop).
 func (l *Layer) RefreshWithCrash(dir string, order RefreshOrder, crash CrashPoint) error {
-	os := l.os
-	names, err := os.Readdir(dir)
-	if err != nil {
-		return err
-	}
-	infos := make([]fileInfo, 0, len(names))
-	for _, n := range names {
-		st, err := os.Stat(dir + "/" + n)
-		if err != nil {
-			return err
-		}
-		infos = append(infos, fileInfo{path: n, ino: int64(st.Ino), size: st.Size})
-	}
-	sortInfos(infos, order)
-
-	tmp := dir + refreshSuffix
-	if err := os.Mkdir(tmp); err != nil {
-		return fmt.Errorf("fldc: refresh: %w", err)
-	}
-	for i, fi := range infos {
-		if crash == CrashDuringCopy && i == len(infos)/2 {
-			return fmt.Errorf("%w during copy of %q", errCrash, fi.path)
-		}
-		if err := l.copyFile(dir+"/"+fi.path, tmp+"/"+fi.path); err != nil {
-			return err
-		}
-	}
-	for _, fi := range infos {
-		if err := os.Unlink(dir + "/" + fi.path); err != nil {
-			return err
-		}
-	}
-	if err := os.Rmdir(dir); err != nil {
-		return err
-	}
-	if crash == CrashAfterDelete {
-		return fmt.Errorf("%w after delete, before rename", errCrash)
-	}
-	return os.Rename(tmp, dir)
+	return l.refresh(dir, order, crash)
 }
 
 // IsInjectedCrash reports whether err came from RefreshWithCrash's fault
 // injection.
-func IsInjectedCrash(err error) bool {
-	return err != nil && strings.Contains(err.Error(), errCrash.Error())
-}
-
-// sortInfos orders the file list for a refresh.
-func sortInfos(infos []fileInfo, order RefreshOrder) {
-	less := func(a, b fileInfo) bool {
-		if order == ByName {
-			return a.path < b.path
-		}
-		if a.size != b.size {
-			return a.size < b.size
-		}
-		return a.path < b.path
-	}
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && less(infos[j], infos[j-1]); j-- {
-			infos[j-1], infos[j] = infos[j], infos[j-1]
-		}
-	}
-}
+func IsInjectedCrash(err error) bool { return errors.Is(err, errCrash) }
 
 // RepairReport describes what the nightly repair script found and did.
 type RepairReport struct {

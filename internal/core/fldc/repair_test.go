@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"graybox/internal/sim"
 	"graybox/internal/simos"
 )
 
@@ -39,6 +40,71 @@ func TestRefreshWithCrashNone(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mtimes returns the modification time of each file in dir, by name.
+func mtimes(t *testing.T, os *simos.OS, dir string) map[string]sim.Time {
+	t.Helper()
+	names, err := os.Readdir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make(map[string]sim.Time, len(names))
+	for _, n := range names {
+		st, err := os.Stat(dir + "/" + n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[n] = st.Mtime
+	}
+	return m
+}
+
+// TestCrashRefreshKeepsTimes: a crash-injected refresh that runs to the
+// end, and one that crashes after its delete step and is rolled forward
+// by the repair script, fix up every file's times as Refresh does (step
+// 4); otherwise make(1) would rebuild everything the refresh touched.
+func TestCrashRefreshKeepsTimes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		crash CrashPoint
+	}{{"none", CrashNone}, {"after-delete", CrashAfterDelete}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSys()
+			err := s.Run("t", func(os *simos.OS) {
+				setupAged(t, s, os, 10)
+				before := mtimes(t, os, "work")
+				// Let the clock move on, so a rewritten file's own mtime
+				// differs from the one it should keep.
+				os.Proc().Sleep(sim.Second)
+				err := New(os).RefreshWithCrash("work", BySize, tc.crash)
+				if tc.crash == CrashNone && err != nil {
+					t.Fatal(err)
+				}
+				if tc.crash != CrashNone {
+					if !IsInjectedCrash(err) {
+						t.Fatalf("expected injected crash, got %v", err)
+					}
+					if _, err := RepairRefresh(os, ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				after := mtimes(t, os, "work")
+				lost := 0
+				for n, mt := range before {
+					if after[n] != mt {
+						lost++
+					}
+				}
+				if lost > 0 || len(after) != len(before) {
+					t.Errorf("%d of %d files lost their mtime (%d files after)", lost, len(before), len(after))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -87,7 +87,6 @@ type Inode struct {
 	atime  sim.Time
 	mtime  sim.Time
 	ctime  sim.Time
-	nlink  int
 }
 
 // Dir is an in-memory directory node.

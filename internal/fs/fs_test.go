@@ -25,8 +25,8 @@ func newWorld(t testing.TB) *world {
 	t.Helper()
 	e := sim.NewEngine(1)
 	d := disk.New(e, disk.DefaultParams())
-	pool := mem.NewPool(e, 8192) // 32 MB of 4 KB frames
-	c := cache.New(e, cache.Config{MaxDirty: 1024}, cache.Clock, pool)
+	pool := mem.NewPool(8192) // 32 MB of 4 KB frames
+	c := cache.New(cache.Config{MaxDirty: 1024}, cache.Clock, pool)
 	pool.AddShrinker(c)
 	return &world{e: e, d: d, c: c, fs: New(e, d, c, DefaultConfig()), pool: pool}
 }
@@ -174,8 +174,8 @@ func TestAllocateEveryBlock(t *testing.T) {
 		cfg.Alloc = policy
 		dp := disk.DefaultParams()
 		dp.Cylinders = 4*cfg.GroupCylinders + 5 // four groups and a partial tail
-		pool := mem.NewPool(e, 64)
-		f := New(e, disk.New(e, dp), cache.New(e, cache.Config{}, cache.Clock, pool), cfg)
+		pool := mem.NewPool(64)
+		f := New(e, disk.New(e, dp), cache.New(cache.Config{}, cache.Clock, pool), cfg)
 		if len(f.groups) != 4 || f.groups[0].dataBlocks%64 == 0 {
 			t.Fatalf("geometry: %d groups of %d data blocks, want 4 ending mid-word", len(f.groups), f.groups[0].dataBlocks)
 		}
@@ -221,8 +221,8 @@ func TestAllocateEveryInode(t *testing.T) {
 	cfg.InodesPerGroup = 100
 	dp := disk.DefaultParams()
 	dp.Cylinders = 4 * cfg.GroupCylinders
-	pool := mem.NewPool(e, 64)
-	f := New(e, disk.New(e, dp), cache.New(e, cache.Config{}, cache.Clock, pool), cfg)
+	pool := mem.NewPool(64)
+	f := New(e, disk.New(e, dp), cache.New(cache.Config{}, cache.Clock, pool), cfg)
 	mustPanic(t, "freeing an inode of a group that never allocated", func() { f.freeInode(f.inoOf(3, 0)) })
 	total := Ino(len(f.groups) * cfg.InodesPerGroup)
 	for want := Ino(1); want <= total; want++ {
@@ -250,8 +250,8 @@ func TestAllocateEveryInode(t *testing.T) {
 func TestBitmapsBuiltOnFirstUse(t *testing.T) {
 	w := newWorld(t)
 	fresh := func() *FS {
-		pool := mem.NewPool(w.e, 64)
-		return New(w.e, disk.New(w.e, disk.DefaultParams()), cache.New(w.e, cache.Config{}, cache.Clock, pool), DefaultConfig())
+		pool := mem.NewPool(64)
+		return New(w.e, disk.New(w.e, disk.DefaultParams()), cache.New(cache.Config{}, cache.Clock, pool), DefaultConfig())
 	}
 	built := func(what string, f *FS, want ...int) {
 		t.Helper()
@@ -572,8 +572,8 @@ func TestAgingFragmentsLayout(t *testing.T) {
 func TestLFSAllocatorAppends(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := disk.New(e, disk.DefaultParams())
-	pool := mem.NewPool(e, 4096)
-	c := cache.New(e, cache.Config{}, cache.Clock, pool)
+	pool := mem.NewPool(4096)
+	c := cache.New(cache.Config{}, cache.Clock, pool)
 	pool.AddShrinker(c)
 	cfg := DefaultConfig()
 	cfg.Alloc = AllocLFS

@@ -112,8 +112,8 @@ func decodeFSScenario(data []byte) fsScenario {
 // newFuzzFS builds one copy of the file system on its own disk and
 // cache, with frames to spare so no page is ever reclaimed.
 func newFuzzFS(e *sim.Engine, sc fsScenario) *FS {
-	pool := mem.NewPool(e, 1024)
-	c := cache.New(e, cache.Config{}, cache.Clock, pool)
+	pool := mem.NewPool(1024)
+	c := cache.New(cache.Config{}, cache.Clock, pool)
 	pool.AddShrinker(c)
 	return New(e, disk.New(e, sc.disk), c, sc.cfg)
 }

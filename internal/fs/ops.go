@@ -68,7 +68,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 		return nil, err
 	}
 	now := fs.e.Now()
-	node := &Inode{ino: ino, atime: now, mtime: now, ctime: now, nlink: 1}
+	node := &Inode{ino: ino, atime: now, mtime: now, ctime: now}
 	fs.inodes[ino] = node
 	parent.entries[name] = ino
 	fs.touchInodeBlock(p, ino, true)

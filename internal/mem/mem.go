@@ -33,7 +33,6 @@ type Shrinker interface {
 
 // Pool is the physical frame allocator.
 type Pool struct {
-	e         *sim.Engine
 	capacity  int
 	used      int
 	shrinkers []Shrinker // reclaim preference order: earlier first
@@ -47,11 +46,11 @@ type Pool struct {
 }
 
 // NewPool creates a pool of capacity frames.
-func NewPool(e *sim.Engine, capacity int) *Pool {
+func NewPool(capacity int) *Pool {
 	if capacity <= 0 {
 		panic("mem: pool capacity must be positive")
 	}
-	return &Pool{e: e, capacity: capacity}
+	return &Pool{capacity: capacity}
 }
 
 // Instrument registers the pool's metrics (frames-in-use gauge, reclaim

@@ -37,7 +37,7 @@ func (f *fakeShrinker) grab(p *sim.Proc, n int) {
 
 func TestPoolBasicAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
-	pl := NewPool(e, 10)
+	pl := NewPool(10)
 	if pl.Capacity() != 10 || pl.Free() != 10 || pl.Used() != 0 {
 		t.Fatalf("fresh pool: cap=%d free=%d used=%d", pl.Capacity(), pl.Free(), pl.Used())
 	}
@@ -56,8 +56,7 @@ func TestPoolBasicAccounting(t *testing.T) {
 }
 
 func TestTryGrabFrame(t *testing.T) {
-	e := sim.NewEngine(1)
-	pl := NewPool(e, 1)
+	pl := NewPool(1)
 	if !pl.TryGrabFrame() {
 		t.Fatal("first TryGrabFrame should succeed")
 	}
@@ -68,7 +67,7 @@ func TestTryGrabFrame(t *testing.T) {
 
 func TestReclaimPreferenceOrder(t *testing.T) {
 	e := sim.NewEngine(1)
-	pl := NewPool(e, 10)
+	pl := NewPool(10)
 	cache := &fakeShrinker{name: "cache", pool: pl, floor: 2}
 	anon := &fakeShrinker{name: "anon", pool: pl}
 	pl.AddShrinker(cache)
@@ -96,7 +95,7 @@ func TestReclaimPreferenceOrder(t *testing.T) {
 
 func TestLastDitchReclaimIgnoresFloor(t *testing.T) {
 	e := sim.NewEngine(1)
-	pl := NewPool(e, 4)
+	pl := NewPool(4)
 	cache := &fakeShrinker{name: "cache", pool: pl, floor: 4}
 	pl.AddShrinker(cache)
 	e.Go("p", func(p *sim.Proc) {
@@ -111,7 +110,7 @@ func TestLastDitchReclaimIgnoresFloor(t *testing.T) {
 
 func TestOutOfFramesPanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	pl := NewPool(e, 2)
+	pl := NewPool(2)
 	p := e.Go("p", func(p *sim.Proc) {
 		pl.GrabFrame(p)
 		pl.GrabFrame(p)
@@ -124,8 +123,7 @@ func TestOutOfFramesPanics(t *testing.T) {
 }
 
 func TestReturnTooManyPanics(t *testing.T) {
-	e := sim.NewEngine(1)
-	pl := NewPool(e, 2)
+	pl := NewPool(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -136,7 +134,7 @@ func TestReturnTooManyPanics(t *testing.T) {
 
 func TestUsageSummary(t *testing.T) {
 	e := sim.NewEngine(1)
-	pl := NewPool(e, 10)
+	pl := NewPool(10)
 	cache := &fakeShrinker{name: "cache", pool: pl}
 	pl.AddShrinker(cache)
 	e.Go("p", func(p *sim.Proc) { cache.grab(p, 3) })

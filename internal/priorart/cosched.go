@@ -52,7 +52,7 @@ type CoschedResult struct {
 // load and pays up to a full quantum per competitor to get back on.
 func RunCosched(cfg CoschedConfig) CoschedResult {
 	e := sim.NewEngine(cfg.Seed)
-	cpus := [2]*sim.Resource{sim.NewResource(e, 1), sim.NewResource(e, 1)}
+	cpus := [2]*sim.Resource{sim.NewResource(e), sim.NewResource(e)}
 	var res CoschedResult
 
 	stop := false

@@ -69,7 +69,7 @@ type MannersResult struct {
 // [ForegroundStart, ForegroundEnd).
 func RunManners(cfg MannersConfig) MannersResult {
 	e := sim.NewEngine(cfg.Seed)
-	cpu := sim.NewResource(e, 1)
+	cpu := sim.NewResource(e)
 	var res MannersResult
 
 	// Foreground: computes in quanta during its window.

@@ -70,7 +70,7 @@ type tcpSender struct {
 func RunTCP(cfg TCPConfig) TCPResult {
 	e := sim.NewEngine(cfg.Seed)
 	res := TCPResult{Delivered: make([]int64, cfg.Senders)}
-	link := sim.NewResource(e, 1)
+	link := sim.NewResource(e)
 	rng := sim.NewRNG(cfg.Seed + 1)
 
 	var windowSum float64

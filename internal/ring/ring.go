@@ -97,13 +97,6 @@ func (l *List[T]) PushBack(v T) Handle {
 	return Handle(i)
 }
 
-// InsertBefore inserts v immediately before h and returns its handle.
-func (l *List[T]) InsertBefore(v T, h Handle) Handle {
-	i := l.alloc(v)
-	l.link(i, l.nodes[h].prev)
-	return Handle(i)
-}
-
 // Remove unlinks h, releases its slot for reuse, and returns its value.
 // h is invalid afterwards.
 func (l *List[T]) Remove(h Handle) T {
@@ -170,16 +163,6 @@ func (l *List[T]) Next(h Handle) Handle { return Handle(l.nodes[h].next) }
 
 // Prev returns the handle before h, or None at the front.
 func (l *List[T]) Prev(h Handle) Handle { return Handle(l.nodes[h].prev) }
-
-// NextCyclic returns the handle after h, wrapping from the back to the
-// front — the clock-hand advance.
-func (l *List[T]) NextCyclic(h Handle) Handle {
-	n := l.nodes[h].next
-	if n == 0 {
-		n = l.nodes[0].next
-	}
-	return Handle(n)
-}
 
 // At returns a pointer to h's value. The pointer is invalidated by any
 // insertion (the arena may grow); do not hold it across one.

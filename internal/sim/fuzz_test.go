@@ -37,7 +37,7 @@ const (
 	opSleep = iota // Sleep(d)
 	opAfter        // After(d, closure that logs its fire)
 	opSpawn        // spawn a new process running script at +d
-	opHold         // Acquire the shared capacity-1 Resource, Sleep(d), Release
+	opHold         // Acquire the shared Resource, Sleep(d), Release
 )
 
 // opOfKind maps bits 0-1 of a kind byte to a script operation. Kind 2 is
@@ -118,7 +118,7 @@ func decodeScenario(data []byte) scenario {
 // runEngineScenario runs sc on the engine.
 func runEngineScenario(sc scenario) (log []string, now Time, seq uint64) {
 	e := NewEngine(1)
-	res := NewResource(e, 1)
+	res := NewResource(e)
 	var procs []*Proc
 	closures := 0
 	var spawn func(script int, delay Time)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"graybox/internal/ring"
 	"graybox/internal/telemetry"
 )
 
@@ -66,10 +65,9 @@ type Proc struct {
 
 	// Scheduler state (sched.go); idle/unused under the default
 	// infinite-core model.
-	left Time        // remaining CPU burst of the active Compute
-	cpu  int32       // owning CPU while on-CPU, -1 otherwise
-	rqh  ring.Handle // run-queue position while queued, ring.None otherwise
-	enq  Time        // when the process joined the run queue
+	left Time  // remaining CPU burst of the active Compute
+	cpu  int32 // owning CPU while on-CPU, -1 otherwise
+	enq  Time  // when the process joined the run queue
 
 	// resume wakes this process's goroutine. Buffered size 0: the sender
 	// blocks until the goroutine is at its receive, which is exactly the

@@ -161,7 +161,7 @@ func (s *scheduler) submit(e *Engine, p *Proc) {
 	p.setState(procRunnable)
 	p.enq = e.now
 	p.cpu = int32(best)
-	p.rqh = c.runq.PushBack(p)
+	c.runq.PushBack(p)
 	c.runnable.Set(int64(c.runq.Len()))
 }
 
@@ -182,7 +182,6 @@ func (s *scheduler) dispatch(e *Engine, c *schedCPU) {
 		return
 	}
 	p := c.runq.Remove(c.runq.Front())
-	p.rqh = ring.None
 	c.runnable.Set(int64(c.runq.Len()))
 	c.switches++
 	c.ctxsw.Inc()

@@ -227,7 +227,7 @@ func TestProcPanicCaptured(t *testing.T) {
 
 func TestResourceSerializesFIFO(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(e, 1)
+	r := NewResource(e)
 	var order []string
 	use := func(name string, hold Time) func(p *Proc) {
 		return func(p *Proc) {
@@ -251,62 +251,6 @@ func TestResourceSerializesFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceCapacityTwo(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 2)
-	var maxConcurrent, cur int
-	body := func(p *Proc) {
-		r.Acquire(p)
-		cur++
-		if cur > maxConcurrent {
-			maxConcurrent = cur
-		}
-		p.Sleep(100)
-		cur--
-		r.Release()
-	}
-	for i := 0; i < 5; i++ {
-		e.Go("w", body)
-	}
-	e.Run()
-	if maxConcurrent != 2 {
-		t.Errorf("max concurrency %d, want 2", maxConcurrent)
-	}
-	if e.Now() != 300 {
-		t.Errorf("Now = %v, want 300 (ceil(5/2) batches)", e.Now())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release should succeed")
-	}
-}
-
-func TestResourceBusyTime(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 1)
-	e.Go("u", func(p *Proc) {
-		p.Sleep(10)
-		r.Acquire(p)
-		p.Sleep(30)
-		r.Release()
-	})
-	e.Run()
-	if r.BusyTime() != 30 {
-		t.Errorf("BusyTime = %v, want 30", r.BusyTime())
-	}
-}
-
 // TestResourceContendedAllocs guards Release's queue handling: once the
 // waiter queue has grown to the number of contenders, handing the
 // resource from process to process must not allocate. Four processes
@@ -314,7 +258,7 @@ func TestResourceBusyTime(t *testing.T) {
 // unit to a queued process while the releaser queues again.
 func TestResourceContendedAllocs(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(e, 1)
+	r := NewResource(e)
 	for i := 0; i < 4; i++ {
 		e.Go("w", func(p *Proc) {
 			for {

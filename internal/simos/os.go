@@ -20,7 +20,7 @@ type OS struct {
 // Spawn starts a simulated process whose body receives its OS handle.
 func (s *System) Spawn(name string, delay sim.Time, body func(os *OS)) *sim.Proc {
 	return s.Engine.Spawn(name, delay, func(p *sim.Proc) {
-		o := &OS{sys: s, p: p, space: s.VM.NewSpace(name)}
+		o := &OS{sys: s, p: p, space: s.VM.NewSpace()}
 		defer o.space.Release()
 		body(o)
 	})

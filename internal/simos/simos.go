@@ -159,7 +159,7 @@ func New(cfg Config) *System {
 	pageSize := cfg.Disk.BlockSize
 	frames := cfg.MemoryMB * MB / pageSize
 	kernelFrames := cfg.KernelMB * MB / pageSize
-	pool := mem.NewPool(e, frames-kernelFrames)
+	pool := mem.NewPool(frames - kernelFrames)
 
 	s := &System{Engine: e, Pool: pool, cfg: cfg}
 	for i := 0; i < cfg.NumDisks; i++ {
@@ -177,18 +177,17 @@ func New(cfg Config) *System {
 	maxDirty := int(float64(pool.Capacity()) * cfg.MaxDirtyFrac)
 	switch cfg.Personality {
 	case NetBSD15:
-		s.Cache = cache.New(e, cache.Config{
-			Capacity:      cfg.NetBSDCacheMB * MB / pageSize,
-			PrivateFrames: true,
-			MaxDirty:      maxDirty,
+		s.Cache = cache.New(cache.Config{
+			Capacity: cfg.NetBSDCacheMB * MB / pageSize,
+			MaxDirty: maxDirty,
 		}, cache.LRU, nil)
 	case Solaris7:
-		s.Cache = cache.New(e, cache.Config{
+		s.Cache = cache.New(cache.Config{
 			FloorPages: cfg.CacheFloorMB * MB / pageSize,
 			MaxDirty:   maxDirty,
 		}, cache.HoldFirst, pool)
 	case Linux22:
-		s.Cache = cache.New(e, cache.Config{
+		s.Cache = cache.New(cache.Config{
 			FloorPages: cfg.CacheFloorMB * MB / pageSize,
 			MaxDirty:   maxDirty,
 		}, cache.Clock, pool)
@@ -196,7 +195,7 @@ func New(cfg Config) *System {
 		panic(fmt.Sprintf("simos: unknown personality %q", cfg.Personality))
 	}
 
-	s.VM = vm.New(e, pool, s.swapDisk, 0, cfg.VM)
+	s.VM = vm.New(pool, s.swapDisk, 0, cfg.VM)
 	// Reclaim order: squeeze the (clean-page-rich) file cache before
 	// swapping anonymous memory.
 	if cfg.Personality != NetBSD15 {

@@ -22,7 +22,7 @@ func TestPageStateSize(t *testing.T) {
 // warm. The measurement runs inside the process body, on virtual time.
 func TestTouchResidentAllocs(t *testing.T) {
 	w := newWorld(256)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	var allocs float64
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(64)
@@ -45,7 +45,7 @@ func TestTouchResidentAllocs(t *testing.T) {
 // and swap-slot free list reach an allocation-free steady state.
 func TestEvictSwapInSteadyStateAllocs(t *testing.T) {
 	w := newWorld(32)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	var allocs float64
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(64) // 2x physical memory
@@ -67,7 +67,7 @@ func TestEvictSwapInSteadyStateAllocs(t *testing.T) {
 
 func BenchmarkTouchResident(b *testing.B) {
 	w := newWorld(256)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	pr := w.e.Go("bench", func(p *sim.Proc) {
 		r := as.Alloc(64)
 		for i := int64(0); i < 64; i++ {

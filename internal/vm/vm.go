@@ -63,18 +63,13 @@ type clockKey struct {
 	idx    int64
 }
 
-// Region is a contiguous anonymous allocation.
-type region struct {
-	id    RegionID
-	pages []pageState
-}
-
 // AddrSpace is one process's anonymous memory.
 type AddrSpace struct {
-	vm       *VM
-	name     string
-	regions  map[RegionID]*region
-	nextID   RegionID
+	vm *VM
+	// regions holds each region's pages at regions[id-1]. Ids are handed
+	// out in order and never reused, so a freed region's entry stays nil
+	// and a stale id fails loudly.
+	regions  [][]pageState
 	resident int
 }
 
@@ -89,14 +84,12 @@ type Stats struct {
 // VM is the system-wide anonymous memory manager. It implements
 // mem.Shrinker so the frame pool can trigger page-outs.
 type VM struct {
-	e    *sim.Engine
 	pool *mem.Pool
 	swap *disk.Disk
 	cfg  Config
 
 	clock    ring.List[clockKey] // the page daemon's circle
 	hand     ring.Handle
-	spaces   map[*AddrSpace]bool
 	swapFree []int64 // free swap slots (LIFO)
 	swapNext int64
 	swapCap  int64
@@ -110,18 +103,14 @@ type VM struct {
 
 // New creates the VM manager. swapBlocks bounds swap usage on the swap
 // disk (0 means the whole disk).
-func New(e *sim.Engine, pool *mem.Pool, swap *disk.Disk, swapBlocks int64, cfg Config) *VM {
+func New(pool *mem.Pool, swap *disk.Disk, swapBlocks int64, cfg Config) *VM {
 	if swapBlocks <= 0 {
 		swapBlocks = swap.Params().Blocks()
 	}
 	if swapBlocks > math.MaxInt32 {
 		panic(fmt.Sprintf("vm: %d swap slots, more than a page's int32 slot can name", swapBlocks))
 	}
-	return &VM{
-		e: e, pool: pool, swap: swap, cfg: cfg,
-		spaces:  make(map[*AddrSpace]bool),
-		swapCap: swapBlocks,
-	}
+	return &VM{pool: pool, swap: swap, cfg: cfg, swapCap: swapBlocks}
 }
 
 // Stats returns a copy of the counters.
@@ -147,11 +136,7 @@ func (v *VM) telSyncGauges() {
 }
 
 // NewSpace creates an address space for one process.
-func (v *VM) NewSpace(name string) *AddrSpace {
-	as := &AddrSpace{vm: v, name: name, regions: make(map[RegionID]*region)}
-	v.spaces[as] = true
-	return as
-}
+func (v *VM) NewSpace() *AddrSpace { return &AddrSpace{vm: v} }
 
 // Name implements mem.Shrinker.
 func (v *VM) Name() string { return "anon" }
@@ -182,8 +167,7 @@ func (v *VM) EvictOne(p *sim.Proc) bool {
 	v.hand = v.clock.Next(h)
 	key := v.clock.Remove(h)
 
-	r := key.as.regions[key.region]
-	pg := &r.pages[key.idx]
+	pg := &key.as.regions[key.region-1][key.idx]
 	// Mark non-resident before the I/O so a concurrent reclaim cannot
 	// pick this page again.
 	pg.clockH = ring.None
@@ -234,22 +218,26 @@ func (as *AddrSpace) Alloc(npages int64) RegionID {
 	if npages <= 0 {
 		panic("vm: Alloc of non-positive size")
 	}
-	as.nextID++
-	id := as.nextID
-	as.regions[id] = &region{id: id, pages: make([]pageState, npages)}
-	return id
+	as.regions = append(as.regions, make([]pageState, npages))
+	return RegionID(len(as.regions))
+}
+
+// region returns the pages of region id. It panics, naming op, when id
+// was never allocated in this space or has been freed.
+func (as *AddrSpace) region(op string, id RegionID) []pageState {
+	if id < 1 || id > RegionID(len(as.regions)) || as.regions[id-1] == nil {
+		panic(fmt.Sprintf("vm: %s of unknown region %d", op, id))
+	}
+	return as.regions[id-1]
 }
 
 // Free releases a region: resident frames return to the pool, swap slots
 // are freed. No I/O is needed.
 func (as *AddrSpace) Free(id RegionID) {
-	r, ok := as.regions[id]
-	if !ok {
-		panic(fmt.Sprintf("vm: Free of unknown region %d", id))
-	}
+	pages := as.region("Free", id)
 	freed := 0
-	for i := range r.pages {
-		pg := &r.pages[i]
+	for i := range pages {
+		pg := &pages[i]
 		if pg.resident() {
 			if as.vm.hand == pg.clockH {
 				as.vm.hand = as.vm.clock.Next(pg.clockH)
@@ -265,29 +253,21 @@ func (as *AddrSpace) Free(id RegionID) {
 	if freed > 0 {
 		as.vm.pool.ReturnFrames(freed)
 	}
-	delete(as.regions, id)
+	as.regions[id-1] = nil
 	as.vm.telSyncGauges()
 }
 
-// Release frees every region in the space (process exit).
+// Release frees every region in the space in id order (process exit).
 func (as *AddrSpace) Release() {
-	ids := make([]RegionID, 0, len(as.regions))
-	for id := range as.regions {
-		ids = append(ids, id)
-	}
-	// Region IDs are unique and ordered; free deterministically.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
+	for i, pages := range as.regions {
+		if pages != nil {
+			as.Free(RegionID(i + 1))
 		}
-	}
-	for _, id := range ids {
-		as.Free(id)
 	}
 }
 
 // Pages returns the size of a region in pages.
-func (as *AddrSpace) Pages(id RegionID) int64 { return int64(len(as.regions[id].pages)) }
+func (as *AddrSpace) Pages(id RegionID) int64 { return int64(len(as.region("Pages", id))) }
 
 // Resident returns the number of resident pages in the space (harness
 // ground truth).
@@ -296,8 +276,8 @@ func (as *AddrSpace) Resident() int { return as.resident }
 // ResidentIn returns resident pages of one region (harness ground truth).
 func (as *AddrSpace) ResidentIn(id RegionID) int {
 	n := 0
-	for i := range as.regions[id].pages {
-		if as.regions[id].pages[i].resident() {
+	for _, pg := range as.region("ResidentIn", id) {
+		if pg.resident() {
 			n++
 		}
 	}
@@ -310,14 +290,11 @@ func (as *AddrSpace) ResidentIn(id RegionID) int {
 // why MAC's probes must write — Section 4.3.1).
 func (as *AddrSpace) Touch(p *sim.Proc, id RegionID, idx int64, write bool) {
 	v := as.vm
-	r, ok := as.regions[id]
-	if !ok {
-		panic(fmt.Sprintf("vm: Touch of unknown region %d", id))
+	pages := as.region("Touch", id)
+	if idx < 0 || idx >= int64(len(pages)) {
+		panic(fmt.Sprintf("vm: Touch page %d outside region of %d pages", idx, len(pages)))
 	}
-	if idx < 0 || idx >= int64(len(r.pages)) {
-		panic(fmt.Sprintf("vm: Touch page %d outside region of %d pages", idx, len(r.pages)))
-	}
-	pg := &r.pages[idx]
+	pg := &pages[idx]
 	switch {
 	case pg.resident():
 		pg.clockH = v.touchClock(pg.clockH)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -20,8 +21,8 @@ type world struct {
 func newWorld(frames int) *world {
 	e := sim.NewEngine(1)
 	swap := disk.New(e, disk.DefaultParams())
-	pool := mem.NewPool(e, frames)
-	v := New(e, pool, swap, 0, DefaultConfig())
+	pool := mem.NewPool(frames)
+	v := New(pool, swap, 0, DefaultConfig())
 	pool.AddShrinker(v)
 	return &world{e: e, pool: pool, swap: swap, vm: v}
 }
@@ -37,7 +38,7 @@ func (w *world) run(t testing.TB, fn func(p *sim.Proc)) {
 
 func TestZeroFillOnFirstWrite(t *testing.T) {
 	w := newWorld(100)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(10)
 		if as.Resident() != 0 {
@@ -60,7 +61,7 @@ func TestZeroFillOnFirstWrite(t *testing.T) {
 
 func TestZeroPageReadAllocatesNothing(t *testing.T) {
 	w := newWorld(100)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(5)
 		for i := int64(0); i < 5; i++ {
@@ -77,7 +78,7 @@ func TestZeroPageReadAllocatesNothing(t *testing.T) {
 
 func TestTouchResidentIsFast(t *testing.T) {
 	w := newWorld(100)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	var first, second sim.Time
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(1)
@@ -98,7 +99,7 @@ func TestTouchResidentIsFast(t *testing.T) {
 
 func TestOvercommitSwapsOut(t *testing.T) {
 	w := newWorld(50)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(80)
 		for i := int64(0); i < 80; i++ {
@@ -119,7 +120,7 @@ func TestOvercommitSwapsOut(t *testing.T) {
 
 func TestSwapInRestoresResidency(t *testing.T) {
 	w := newWorld(10)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	var swapInTime sim.Time
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(15)
@@ -141,7 +142,7 @@ func TestSwapInRestoresResidency(t *testing.T) {
 
 func TestClockGivesSecondChance(t *testing.T) {
 	w := newWorld(10)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(12)
 		for i := int64(0); i < 10; i++ {
@@ -154,12 +155,12 @@ func TestClockGivesSecondChance(t *testing.T) {
 		as.Touch(p, r, 10, true)
 		as.Touch(p, r, 11, true)
 		for _, idx := range []int64{0, 1} {
-			if !as.regions[r].pages[idx].resident() {
+			if !as.regions[r-1][idx].resident() {
 				t.Errorf("recently touched page %d was evicted", idx)
 			}
 		}
 		for _, idx := range []int64{2, 3} {
-			if as.regions[r].pages[idx].resident() {
+			if as.regions[r-1][idx].resident() {
 				t.Errorf("cold page %d survived", idx)
 			}
 		}
@@ -168,7 +169,7 @@ func TestClockGivesSecondChance(t *testing.T) {
 
 func TestFreeReturnsFramesAndSwap(t *testing.T) {
 	w := newWorld(10)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(15)
 		for i := int64(0); i < 15; i++ {
@@ -192,7 +193,7 @@ func TestFreeReturnsFramesAndSwap(t *testing.T) {
 
 func TestReleaseFreesEverything(t *testing.T) {
 	w := newWorld(100)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		r1 := as.Alloc(5)
 		r2 := as.Alloc(5)
@@ -205,15 +206,17 @@ func TestReleaseFreesEverything(t *testing.T) {
 	if w.pool.Used() != 0 {
 		t.Errorf("pool used = %d after Release", w.pool.Used())
 	}
-	if len(as.regions) != 0 {
-		t.Error("regions survive Release")
+	for i, pages := range as.regions {
+		if pages != nil {
+			t.Errorf("region %d survives Release", i+1)
+		}
 	}
 }
 
 func TestTwoSpacesCompete(t *testing.T) {
 	w := newWorld(100)
-	a := w.vm.NewSpace("a")
-	b := w.vm.NewSpace("b")
+	a := w.vm.NewSpace()
+	b := w.vm.NewSpace()
 	w.run(t, func(p *sim.Proc) {
 		ra := a.Alloc(60)
 		for i := int64(0); i < 60; i++ {
@@ -237,14 +240,14 @@ func TestResidentInvariantProperty(t *testing.T) {
 	// Random touch/free workloads never exceed pool capacity and always
 	// keep a just-written page resident.
 	w := newWorld(32)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	rng := sim.NewRNG(9)
 	w.run(t, func(p *sim.Proc) {
 		r := as.Alloc(64)
 		for step := 0; step < 2000; step++ {
 			idx := rng.Int63n(64)
 			as.Touch(p, r, idx, true)
-			if !as.regions[r].pages[idx].resident() {
+			if !as.regions[r-1][idx].resident() {
 				t.Fatalf("page %d not resident immediately after write", idx)
 			}
 			if as.Resident() > 32 {
@@ -259,23 +262,60 @@ func TestResidentInvariantProperty(t *testing.T) {
 func TestNewRejectsSwapBeyondInt32(t *testing.T) {
 	e := sim.NewEngine(1)
 	swap := disk.New(e, disk.DefaultParams())
-	pool := mem.NewPool(e, 10)
-	New(e, pool, swap, math.MaxInt32, DefaultConfig()) // the most a page can name
+	pool := mem.NewPool(10)
+	New(pool, swap, math.MaxInt32, DefaultConfig()) // the most a page can name
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "swap slots") {
 			t.Fatalf("New with 2^31 swap slots: panic %q, want one naming the swap slots", msg)
 		}
 	}()
-	New(e, pool, swap, math.MaxInt32+1, DefaultConfig())
+	New(pool, swap, math.MaxInt32+1, DefaultConfig())
 }
 
 func TestAllocBadArgsPanic(t *testing.T) {
 	w := newWorld(10)
-	as := w.vm.NewSpace("a")
+	as := w.vm.NewSpace()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
 	as.Alloc(0)
+}
+
+// TestUnknownRegionPanics checks that every region operation rejects an
+// id naming no live region of the space — 0, an id never allocated, and
+// a freed region — with a panic naming the operation and the id.
+func TestUnknownRegionPanics(t *testing.T) {
+	w := newWorld(10)
+	as := w.vm.NewSpace()
+	live := as.Alloc(2)
+	freed := as.Alloc(1)
+	as.Free(freed)
+	ops := []struct {
+		name string
+		call func(RegionID)
+	}{
+		// The lookup fails before Touch uses its process.
+		{"Touch", func(id RegionID) { as.Touch(nil, id, 0, true) }},
+		{"Free", func(id RegionID) { as.Free(id) }},
+		{"Pages", func(id RegionID) { as.Pages(id) }},
+		{"ResidentIn", func(id RegionID) { as.ResidentIn(id) }},
+	}
+	for _, op := range ops {
+		for _, id := range []RegionID{0, freed + 1, freed} {
+			want := fmt.Sprintf("vm: %s of unknown region %d", op.name, id)
+			got := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				op.call(id)
+				return
+			}()
+			if got != want {
+				t.Errorf("%s(%d): panic %q, want %q", op.name, id, got, want)
+			}
+		}
+	}
+	if n := as.Pages(live); n != 2 {
+		t.Errorf("live region has %d pages after the failed calls, want 2", n)
+	}
 }
