@@ -13,11 +13,11 @@ import (
 // counterpart (a DragonStash-style persistent cache) actually does:
 // the block index survives as data, and a restart reloads it instantly.
 // Manifest exports that index deterministically; Preload installs one
-// into a fresh stash with zero virtual-time cost. A sweep therefore
-// puts the expensive fixtures (source corpus, pre-sized backing file)
-// in the snapshot base, forks per trial, and Preloads the same aged
-// manifest — every trial starts from an identical aged stash without
-// re-simulating the aging I/O.
+// into a fresh stash with zero virtual-time cost. A sweep's trial
+// therefore builds its machine cold, creates the source corpus and a
+// pre-sized backing file without simulated I/O (CreateSized), and
+// Preloads the same aged manifest — every trial starts from an
+// identical aged stash without re-simulating the aging I/O.
 
 // Manifest returns the resident blocks in recency order, most recent
 // first. The order comes from the intrusive LRU ring, never from map
